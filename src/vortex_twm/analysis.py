@@ -153,7 +153,9 @@ def peak_angle(profile: AzimuthalProfile) -> float:
     next_i = intens[(k + 1) % m]
     denom = prev_i - 2.0 * intens[k] + next_i
     offset = 0.0 if denom == 0.0 else 0.5 * (prev_i - next_i) / denom
-    return float((2.0 * np.pi * (k + offset) / m) % (2.0 * np.pi))
+    angle = float((2.0 * np.pi * (k + offset) / m) % (2.0 * np.pi))
+    # % of a tiny negative angle rounds up to the modulus itself
+    return 0.0 if angle == 2.0 * np.pi else angle
 
 
 def ring_radius(field: ComplexField, m: int = DEFAULT_M) -> float:

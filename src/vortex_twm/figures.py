@@ -31,12 +31,13 @@ from . import analysis
 from ._parallel import map_items
 from .beams import LGBeamSpec
 from .config import RunConfig, validate_config
-from .errors import InvalidConfigError, VortexTwmError
+from .errors import InvalidConfigError
 from .medium import MediumParams
 from .runner import (
     METRIC_COLUMNS,
+    _metric_or_blank,
+    analyse,
     compute_fields,
-    field_metrics,
     write_manifest,
     write_metrics_csv,
     write_products,
@@ -96,71 +97,68 @@ def _interference_config(delta: float, lc: int, depth: float, outputs) -> RunCon
 
 
 def _run_cells(cells, out_dir):
-    """Run (label, config) cells in parallel; products land in out_dir/label."""
+    """Run (label, config) cells in parallel; products land in out_dir/label.
+
+    Returns (label, config, fields, analyse result) per cell.
+    """
 
     def work(cell):
         label, cfg = cell
         validate_config(cfg)
         fields = compute_fields(cfg)
-        write_products(cfg, out_dir / label, fields)
-        return label, cfg, fields
+        analysed = analyse(cfg, fields)
+        write_products(cfg, out_dir / label, fields, analysed)
+        return label, cfg, fields, analysed
 
     return map_items(work, cells)
 
 
-def _try(fn):
-    try:
-        return fn()
-    except VortexTwmError:
-        return ""
+def _write_figure(out_dir, fig_id: str, cells, rows, columns, notes: str) -> dict:
+    """Figure-level metrics table and a manifest covering every cell."""
+    write_metrics_csv(rows, columns, out_dir / "metrics.csv")
+    return write_manifest(
+        out_dir, {"figure": fig_id, "cells": [label for label, _ in cells], "notes": notes}
+    )
 
 
 def _fig3(out_dir) -> dict:
     cells = [(f"lc_{lc:g}", _transfer_config(lc)) for lc in CHARGE_SWEEP_TRANSFER]
     rows = []
-    for label, cfg, fields in _run_cells(cells, out_dir):
-        fp, fs = fields["omega_fp"], fields["omega_fs"]
+    for _label, cfg, _fields, analysed in _run_cells(cells, out_dir):
+        fp, fs = analysed["omega_fp"][0], analysed["omega_fs"][0]
         rows.append(
             {
                 "lc": cfg.control.tc,
-                "winding_fs": _try(lambda: analysis.winding_number(fs)),
-                "winding_fp": _try(lambda: analysis.winding_number(fp)),
-                "ring_fp": _try(lambda: analysis.ring_radius(fp)),
-                "ring_fs": _try(lambda: analysis.ring_radius(fs)),
+                "winding_fs": fs["winding"],
+                "winding_fp": fp["winding"],
+                "ring_fp": fp["ring_radius"],
+                "ring_fs": fs["ring_radius"],
             }
         )
-    write_metrics_csv(
-        rows, ("lc", "winding_fs", "winding_fp", "ring_fp", "ring_fs"), out_dir / "metrics.csv"
-    )
-    return write_manifest(
-        out_dir,
-        {
-            "figure": "fig3",
-            "cells": [label for label, _ in cells],
-            "notes": "charge transfer to the generated fields, flat probes, d = 100",
-        },
-    )
+    columns = ("lc", "winding_fs", "winding_fp", "ring_fp", "ring_fs")
+    notes = "charge transfer to the generated fields, flat probes, d = 100"
+    return _write_figure(out_dir, "fig3", cells, rows, columns, notes)
 
 
-def _crescent_rows(results):
-    rows = []
-    for label, cfg, fields in results:
-        rad = cfg.ring_radius
-        prof_d = analysis.azimuthal_profile(fields["omega_d"], rad, cfg.profile_m)
-        prof_u = analysis.azimuthal_profile(fields["omega_u"], rad, cfg.profile_m)
-        rows.append(
-            {
-                "delta": cfg.medium.delta,
-                "radius": rad,
-                "petal_d": _try(lambda: analysis.petal_count(prof_d)),
-                "petal_u": _try(lambda: analysis.petal_count(prof_u)),
-                "peak_d": _try(lambda: analysis.peak_angle(prof_d)),
-                "peak_u": _try(lambda: analysis.peak_angle(prof_u)),
-                "spread_d": float(prof_d.intensities.max() - prof_d.intensities.min()),
-                "spread_u": float(prof_u.intensities.max() - prof_u.intensities.min()),
-            }
-        )
-    return rows
+def _resultant_columns(analysed) -> dict:
+    """Pinned-ring columns of the two resultant outputs, omega_d and omega_u."""
+    (d, prof_d), (u, prof_u) = analysed["omega_d"], analysed["omega_u"]
+    return {
+        "radius": d["radius"],
+        "petal_d": d["petal_count"],
+        "petal_u": u["petal_count"],
+        "peak_d": d["peak_angle"],
+        "peak_u": u["peak_angle"],
+        "spread_d": float(prof_d.intensities.max() - prof_d.intensities.min()),
+        "spread_u": float(prof_u.intensities.max() - prof_u.intensities.min()),
+    }
+
+
+def _crescent_rows(cells, out_dir):
+    return [
+        {"delta": cfg.medium.delta, **_resultant_columns(analysed)}
+        for _label, cfg, _fields, analysed in _run_cells(cells, out_dir)
+    ]
 
 
 def _detuning_cells(outputs):
@@ -172,38 +170,16 @@ def _detuning_cells(outputs):
 
 def _fig4(out_dir) -> dict:
     cells = _detuning_cells(("images", "metrics"))
-    rows = _crescent_rows(_run_cells(cells, out_dir))
-    write_metrics_csv(
-        rows,
-        ("delta", "radius", "petal_d", "petal_u", "peak_d", "peak_u", "spread_d", "spread_u"),
-        out_dir / "metrics.csv",
-    )
-    return write_manifest(
-        out_dir,
-        {
-            "figure": "fig4",
-            "cells": [label for label, _ in cells],
-            "notes": "crescent rotation under detuning, unit charges, d = 8",
-        },
-    )
+    columns = ("delta", "radius", "petal_d", "petal_u", "peak_d", "peak_u", "spread_d", "spread_u")
+    notes = "crescent rotation under detuning, unit charges, d = 8"
+    return _write_figure(out_dir, "fig4", cells, _crescent_rows(cells, out_dir), columns, notes)
 
 
 def _fig5(out_dir) -> dict:
     cells = _detuning_cells(("profiles", "metrics"))
-    rows = _crescent_rows(_run_cells(cells, out_dir))
-    write_metrics_csv(
-        rows,
-        ("delta", "radius", "peak_d", "peak_u", "spread_d", "spread_u"),
-        out_dir / "metrics.csv",
-    )
-    return write_manifest(
-        out_dir,
-        {
-            "figure": "fig5",
-            "cells": [label for label, _ in cells],
-            "notes": "azimuthal profiles versus detuning on a common ring, d = 8",
-        },
-    )
+    columns = ("delta", "radius", "peak_d", "peak_u", "spread_d", "spread_u")
+    notes = "azimuthal profiles versus detuning on a common ring, d = 8"
+    return _write_figure(out_dir, "fig5", cells, _crescent_rows(cells, out_dir), columns, notes)
 
 
 def _fig6(out_dir) -> dict:
@@ -212,48 +188,31 @@ def _fig6(out_dir) -> dict:
         for lc in CHARGE_SWEEP_PETALS
     ]
     rows = []
-    for label, cfg, fields in _run_cells(cells, out_dir):
-        rad = cfg.ring_radius
-        prof_d = analysis.azimuthal_profile(fields["omega_d"], rad, cfg.profile_m)
-        prof_u = analysis.azimuthal_profile(fields["omega_u"], rad, cfg.profile_m)
-        rows.append(
-            {
-                "lc": cfg.control.tc,
-                "radius": rad,
-                "petal_d": _try(lambda: analysis.petal_count(prof_d)),
-                "petal_u": _try(lambda: analysis.petal_count(prof_u)),
-                "peak_d": _try(lambda: analysis.peak_angle(prof_d)),
-                "peak_u": _try(lambda: analysis.peak_angle(prof_u)),
-                "winding_fp": _try(lambda: analysis.winding_number(fields["omega_fp"])),
-                "winding_fs": _try(lambda: analysis.winding_number(fields["omega_fs"])),
-                "ring_fp": _try(lambda: analysis.ring_radius(fields["omega_fp"])),
-                "ring_fs": _try(lambda: analysis.ring_radius(fields["omega_fs"])),
-            }
-        )
-    write_metrics_csv(
-        rows,
-        (
-            "lc",
-            "radius",
-            "petal_d",
-            "petal_u",
-            "peak_d",
-            "peak_u",
-            "winding_fp",
-            "winding_fs",
-            "ring_fp",
-            "ring_fs",
-        ),
-        out_dir / "metrics.csv",
+    for _label, cfg, fields, analysed in _run_cells(cells, out_dir):
+        row = {"lc": cfg.control.tc, **_resultant_columns(analysed)}
+        # winding on the brightest ring, not on the pinned one
+        for name, key in (("omega_fp", "fp"), ("omega_fs", "fs")):
+            ring = analysed[name][0]["ring_radius"]
+            row[f"ring_{key}"] = ring
+            if ring != "":
+                row[f"winding_{key}"] = _metric_or_blank(
+                    lambda: analysis.winding_number(fields[name], ring)
+                )
+        rows.append(row)
+    columns = (
+        "lc",
+        "radius",
+        "petal_d",
+        "petal_u",
+        "peak_d",
+        "peak_u",
+        "winding_fp",
+        "winding_fs",
+        "ring_fp",
+        "ring_fs",
     )
-    return write_manifest(
-        out_dir,
-        {
-            "figure": "fig6",
-            "cells": [label for label, _ in cells],
-            "notes": "petal interference for control charges 2..4, unit probes, d = 4",
-        },
-    )
+    notes = "petal interference for control charges 2..4, unit probes, d = 4"
+    return _write_figure(out_dir, "fig6", cells, rows, columns, notes)
 
 
 _FIGURES = {"fig3": _fig3, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6}
@@ -276,7 +235,7 @@ def _sweep_cell(cfg: RunConfig, param: str, value: float) -> RunConfig:
     if param == "delta":
         return replace(cfg, medium=replace(cfg.medium, delta=float(value)))
     if param == "lc":
-        if value != int(value):
+        if not value.is_integer():
             raise InvalidConfigError(f"lc sweep values must be integers, got {value!r}")
         return replace(cfg, control=replace(cfg.control, tc=int(value)))
     return replace(cfg, control=replace(cfg.control, epsilon=float(value)))
@@ -295,15 +254,20 @@ def run_sweep(cfg: RunConfig, param: str, values, out_dir) -> dict:
     values = [float(v) for v in values]
     if not values:
         raise InvalidConfigError("sweep needs at least one value")
+    labels = {}
+    for v in values:
+        label = f"{param}_{v:g}"
+        if label in labels:
+            raise InvalidConfigError(
+                f"sweep values {labels[label]!r} and {v!r} share the cell label {label!r}"
+            )
+        labels[label] = v
+    cells = [(label, _sweep_cell(cfg, param, v)) for label, v in labels.items()]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(f"{param}_{v:g}", _sweep_cell(cfg, param, v)) for v in values]
     rows = []
-    for (label, cell_cfg, fields), value in zip(_run_cells(cells, out_dir), values):
-        for name in ("omega_d", "omega_u", "omega_fp", "omega_fs"):
-            row = {param: value}
-            row.update(field_metrics(name, fields[name], cell_cfg))
-            rows.append(row)
+    for (_label, _cfg, _fields, analysed), value in zip(_run_cells(cells, out_dir), values):
+        rows.extend({param: value, **row} for row, _profile in analysed.values())
     write_metrics_csv(rows, (param,) + METRIC_COLUMNS, out_dir / "metrics.csv")
     return write_manifest(
         out_dir,

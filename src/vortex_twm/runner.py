@@ -37,6 +37,7 @@ __all__ = [
     "compute_fields",
     "write_products",
     "field_metrics",
+    "analyse",
     "write_metrics_csv",
     "write_manifest",
     "hash_tree",
@@ -72,23 +73,27 @@ def _metric_or_blank(fn):
         return ""
 
 
-def field_metrics(name: str, field: ComplexField, cfg: RunConfig) -> dict:
-    """Observable row for one field; blanks where an observable is undefined."""
-    radius = cfg.ring_radius
-    if radius is None:
-        radius = _metric_or_blank(lambda: analysis.ring_radius(field))
-    row = {"field": name, "radius": radius}
+def field_metrics(
+    name: str, field: ComplexField, cfg: RunConfig
+) -> tuple[dict, analysis.AzimuthalProfile | None]:
+    """Observable row and ring profile (None without a ring) of one field.
+
+    Blanks mark undefined observables.  The brightest ring is found once:
+    it is the ring_radius column and, unless pinned, the sampling ring.
+    """
+    ring = _metric_or_blank(lambda: analysis.ring_radius(field))
+    radius = ring if cfg.ring_radius is None else cfg.ring_radius
+    row = {**dict.fromkeys(METRIC_COLUMNS, ""), "field": name, "radius": radius}
     if radius == "":
-        row.update({"winding": "", "petal_count": "", "peak_angle": "", "ring_radius": ""})
-        return row
+        return row, None
     row["winding"] = _metric_or_blank(
         lambda: analysis.winding_number(field, radius, cfg.profile_m)
     )
     profile = analysis.azimuthal_profile(field, radius, cfg.profile_m)
     row["petal_count"] = _metric_or_blank(lambda: analysis.petal_count(profile))
     row["peak_angle"] = _metric_or_blank(lambda: analysis.peak_angle(profile))
-    row["ring_radius"] = _metric_or_blank(lambda: analysis.ring_radius(field))
-    return row
+    row["ring_radius"] = ring
+    return row, profile
 
 
 def write_metrics_csv(rows: list[dict], columns, path) -> None:
@@ -150,8 +155,16 @@ def run_config(cfg: RunConfig, out_dir) -> dict:
     return write_products(cfg, out_dir, compute_fields(cfg))
 
 
-def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField]) -> dict:
-    """Write the requested products for already-computed fields."""
+def analyse(cfg: RunConfig, fields: dict[str, ComplexField]) -> dict:
+    """field_metrics (row, profile) of every PROFILED field, keyed by name."""
+    return {name: field_metrics(name, fields[name], cfg) for name in PROFILED}
+
+
+def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField], analysed=None) -> dict:
+    """Write the requested products for already-computed fields.
+
+    analysed is analyse(cfg, fields); it is computed here if not given.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -169,22 +182,18 @@ def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField]) -> 
             write_intensity_pgm(fld, spec, idir / f"{name}_intensity.pgm")
             write_phase_ppm(fld, idir / f"{name}_phase.ppm")
 
+    if analysed is None and {"profiles", "metrics"} & set(cfg.outputs):
+        analysed = analyse(cfg, fields)
+
     if "profiles" in cfg.outputs:
         pdir = out_dir / "profiles"
         pdir.mkdir(exist_ok=True)
-        for name in PROFILED:
-            fld = fields[name]
-            radius = cfg.ring_radius
-            if radius is None:
-                try:
-                    radius = analysis.ring_radius(fld)
-                except VortexTwmError:
-                    continue
-            profile = analysis.azimuthal_profile(fld, radius, cfg.profile_m)
-            write_profile_csv(profile, pdir / f"{name}_profile.csv")
+        for name, (_row, profile) in analysed.items():
+            if profile is not None:
+                write_profile_csv(profile, pdir / f"{name}_profile.csv")
 
     if "metrics" in cfg.outputs:
-        rows = [field_metrics(name, fields[name], cfg) for name in PROFILED]
+        rows = [row for row, _profile in analysed.values()]
         write_metrics_csv(rows, METRIC_COLUMNS, out_dir / "metrics.csv")
 
     return write_manifest(out_dir, {"config": config_to_dict(cfg)})

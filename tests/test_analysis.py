@@ -162,6 +162,19 @@ def test_peak_angle_tracks_shift(phi):
     assert min(err, 2.0 * np.pi - err) <= 2.0 * np.pi / 360
 
 
+def test_peak_angle_just_below_zero_folds_to_zero():
+    m = DEFAULT_M
+    intens = np.ones(m)
+    intens[0] = 2.0
+    intens[-1] = np.nextafter(1.0, 2.0)  # left neighbour brighter by one ulp
+    prof = AzimuthalProfile(1.0, 2.0 * np.pi * np.arange(m) / m, intens)
+    # the refined peak sits a hair below 0, where `% 2pi` rounds up to 2pi
+    offset = 0.5 * (intens[-1] - intens[1]) / (intens[-1] - 2.0 * intens[0] + intens[1])
+    assert -1e-15 < offset < 0.0
+    assert (2.0 * np.pi * offset / m) % (2.0 * np.pi) == 2.0 * np.pi
+    assert peak_angle(prof) == 0.0
+
+
 def test_peak_angle_needs_structure():
     with pytest.raises(StructurelessProfileError):
         peak_angle(_uniform_profile())

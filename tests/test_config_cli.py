@@ -212,6 +212,8 @@ def test_cli_sweep_argument_errors(tmp_path):
     assert cli.main(base + ["--param", "delta", "--values", "a,b"]) == 1
     assert cli.main(base + ["--param", "delta", "--values", " , "]) == 1
     assert cli.main(base + ["--param", "lc", "--values", "1.5"]) == 1
+    assert cli.main(base + ["--param", "lc", "--values=nan"]) == 1
+    assert cli.main(base + ["--param", "delta", "--values=1,1.0000001"]) == 1
 
 
 def test_cli_sweep_happy_path(tmp_path):

@@ -1,10 +1,13 @@
+import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vortex_twm.config import parse_config
+from vortex_twm import analysis
+from vortex_twm.config import load_config, parse_config
 from vortex_twm.errors import InvalidConfigError
 from vortex_twm.figures import (
     DETUNING_SWEEP,
@@ -14,6 +17,9 @@ from vortex_twm.figures import (
     reproduce_figure,
     run_sweep,
 )
+from vortex_twm.runner import run_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _base_config(**grid):
@@ -55,6 +61,19 @@ def test_sweep_validation(tmp_path):
         run_sweep(cfg, "delta", [], tmp_path / "b")
     with pytest.raises(InvalidConfigError, match="integers"):
         run_sweep(cfg, "lc", [1.5], tmp_path / "c")
+    with pytest.raises(InvalidConfigError, match="integers, got nan"):
+        run_sweep(cfg, "lc", [float("nan")], tmp_path / "d")
+
+
+def test_sweep_rejects_colliding_labels(tmp_path):
+    cfg = _base_config()
+    out = tmp_path / "s"
+    # both values print as delta_1 under the {v:g} label format
+    with pytest.raises(InvalidConfigError, match=r"1\.0 and 1\.0000001 .*'delta_1'"):
+        run_sweep(cfg, "delta", [1.0, 1.0000001], out)
+    with pytest.raises(InvalidConfigError, match="'lc_2'"):
+        run_sweep(cfg, "lc", [2.0, 3.0, 2.0], out)
+    assert not out.exists()
 
 
 def test_sweep_cells_revalidate(tmp_path):
@@ -113,3 +132,42 @@ def test_fig5_structure_and_physics(tmp_path):
     assert table[-9.0][3] < table[0.0][3]
     assert table[9.0][4] < table[0.0][4]
     assert table[-9.0][4] < table[0.0][4]
+
+
+def _counting_ring_radius(monkeypatch):
+    calls = []
+    real = analysis.ring_radius
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "ring_radius", counted)
+    return calls
+
+
+def test_run_config_finds_each_ring_once(tmp_path, monkeypatch):
+    calls = _counting_ring_radius(monkeypatch)
+    cfg = load_config(CONFIGS / "transfer.json")
+    assert {"profiles", "metrics"} <= set(cfg.outputs)
+    run_config(cfg, tmp_path / "run")
+    # one brightest-ring search per analysed field, shared by profiles and metrics
+    assert len(calls) == 4
+    assert len(list((tmp_path / "run" / "profiles").iterdir())) == 4
+
+
+def test_fig3_table_reads_cell_metrics(tmp_path, monkeypatch):
+    calls = _counting_ring_radius(monkeypatch)
+    out = tmp_path / "fig3"
+    manifest = reproduce_figure("fig3", out)
+    assert len(calls) == 4 * len(manifest["cells"])
+    with open(out / "metrics.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(table) == len(manifest["cells"])
+    for label, line in zip(manifest["cells"], table):
+        with open(out / label / "metrics.csv", newline="") as fh:
+            cell = {row["field"]: row for row in csv.DictReader(fh)}
+        assert label == f"lc_{line['lc']}"
+        for key in ("fp", "fs"):
+            assert line[f"winding_{key}"] == cell[f"omega_{key}"]["winding"]
+            assert line[f"ring_{key}"] == cell[f"omega_{key}"]["ring_radius"]
