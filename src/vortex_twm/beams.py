@@ -59,7 +59,7 @@ def make_grid(n: int, extent: float = 3.0) -> Grid2D:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
         raise InvalidConfigError(f"grid.n must be an integer >= 2, got {n!r}")
     if not np.isfinite(extent) or extent <= 0:
-        raise InvalidConfigError(f"grid.extent must be positive, got {extent!r}")
+        raise InvalidConfigError(f"grid.extent must be finite and positive, got {extent!r}")
     return Grid2D(axis=np.linspace(-extent, extent, int(n)), extent=float(extent))
 
 

@@ -12,12 +12,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import azimuthal_profile, ring_radius
+from .analysis import azimuthal_profile
 from .config import load_config
 from .errors import InvalidConfigError, VerificationError, VortexTwmError
 from .figures import FIGURE_IDS, SWEEP_PARAMS, reproduce_figure, run_sweep
 from .render import write_profile_csv
-from .runner import compute_fields, run_config, write_manifest
+from .runner import compute_fields, run_config, sampling_radius, write_manifest
 from .verify import ensure_passing, print_report, run_verify
 
 PROFILE_FIELDS = {
@@ -80,7 +80,7 @@ def _cmd_profile(args) -> int:
     name = PROFILE_FIELDS[args.field]
     field = compute_fields(cfg)[name]
     if args.radius == "auto":
-        radius = cfg.ring_radius if cfg.ring_radius is not None else ring_radius(field)
+        radius = sampling_radius(cfg, field)
     else:
         try:
             radius = float(args.radius)

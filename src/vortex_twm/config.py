@@ -18,6 +18,7 @@ Validation errors name the offending field with its dotted path.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -78,8 +79,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise InvalidConfigError(
             f"grid.n = {cfg.grid_n} under-resolves charge {lmax} (need >= {need_n})"
         )
-    if not cfg.grid_extent > 0:
-        raise InvalidConfigError(f"grid.extent must be positive, got {cfg.grid_extent!r}")
+    if not (math.isfinite(cfg.grid_extent) and cfg.grid_extent > 0):
+        raise InvalidConfigError(f"grid.extent must be finite and positive, got {cfg.grid_extent!r}")
     need_m = 16 * (lmax + 1)
     if not isinstance(cfg.profile_m, int) or cfg.profile_m < need_m:
         raise InvalidConfigError(

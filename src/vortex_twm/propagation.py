@@ -20,8 +20,10 @@ versa.
 
 ``solve_channel_s`` and ``solve_channel_p`` evaluate the closed-form
 solutions (matrix exponential of the constant-coefficient system);
-``integrate_channel_numeric`` integrates the same systems with a classical
-4th-order scheme and is the independent oracle for them.
+``integrate_channel_numeric`` integrates the same systems with the classical
+RK4 scheme and is the independent oracle for them.  Its N steps are applied
+as one matrix, R(hA)^N with R the degree-4 Taylor polynomial, formed by
+squaring (``medium.rk4_power``).
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from .beams import ComplexField
 from .errors import GridMismatchError, InvalidConfigError, StepCountError
-from .medium import MediumParams, beta_factor, _checked_y
+from .medium import MediumParams, beta_factor, _checked_y, rk4_power
 
 __all__ = [
     "ChannelState",
@@ -112,6 +114,18 @@ def _channel_factors(p: MediumParams, control, z: float):
     return cos_damp, sinc_damp
 
 
+def _channel_state(p: MediumParams, channel: str, control, b0, factors, z: float):
+    """The closed form of solve_channel_s or solve_channel_p from their factors."""
+    cos_damp, sinc_damp = factors
+    if channel == "s":
+        coeff, leg = p.gamma21 - p.gamma31 - 1j * p.delta, np.conj(control)
+    else:
+        coeff, leg = p.gamma31 + 1j * p.delta - p.gamma21, control
+    primary = b0 * (cos_damp - coeff * sinc_damp)
+    generated = -1j * leg * b0 * sinc_damp
+    return ChannelState(primary=primary, generated=generated, z=z)
+
+
 def solve_channel_s(p: MediumParams, control, s0, z: float) -> ChannelState:
     """Closed-form s-channel state at travel distance z.
 
@@ -119,11 +133,7 @@ def solve_channel_s(p: MediumParams, control, s0, z: float) -> ChannelState:
     generated = -i conj(control) s0 sin(beta x)/beta damp
     """
     z = _check_z(p, z)
-    cos_damp, sinc_damp = _channel_factors(p, control, z)
-    coeff = p.gamma21 - p.gamma31 - 1j * p.delta
-    primary = s0 * (cos_damp - coeff * sinc_damp)
-    generated = -1j * np.conj(control) * s0 * sinc_damp
-    return ChannelState(primary=primary, generated=generated, z=z)
+    return _channel_state(p, "s", control, s0, _channel_factors(p, control, z), z)
 
 
 def solve_channel_p(p: MediumParams, control, p0, z: float) -> ChannelState:
@@ -134,21 +144,19 @@ def solve_channel_p(p: MediumParams, control, p0, z: float) -> ChannelState:
     control itself rather than its conjugate.
     """
     z = _check_z(p, z)
-    cos_damp, sinc_damp = _channel_factors(p, control, z)
-    coeff = p.gamma31 + 1j * p.delta - p.gamma21
-    primary = p0 * (cos_damp - coeff * sinc_damp)
-    generated = -1j * control * p0 * sinc_damp
-    return ChannelState(primary=primary, generated=generated, z=z)
+    return _channel_state(p, "p", control, p0, _channel_factors(p, control, z), z)
 
 
 def integrate_channel_numeric(
     p: MediumParams, control, boundary, channel: str, steps: int
 ) -> ChannelState:
-    """4th-order numeric integration of one channel from z = 0 to z = L.
+    """Classical RK4 integration of one channel from z = 0 to z = L.
 
     Integrates the coupled amplitude equations as stated in the module
     docstring, independently of the closed forms, starting from
-    (boundary, 0).  Used as the oracle for solve_channel_*.
+    (boundary, 0): the per-pixel 2x2 coefficient matrix A is built from
+    those equations and the `steps` uniform steps are R(hA)^steps.  Used as
+    the oracle for solve_channel_*.
     """
     if channel not in ("s", "p"):
         raise InvalidConfigError(f"channel must be 's' or 'p', got {channel!r}")
@@ -167,29 +175,12 @@ def integrate_channel_numeric(
         a12 = pre * -0.25 * np.conj(control) / y
         a21 = pre * -0.25 * control / y
         a22 = pre * 0.5j * p.gamma21 / y
-
-    h = p.length / steps
-    u = np.asarray(boundary, dtype=complex).copy()
-    v = np.zeros_like(u)
-
-    for _ in range(int(steps)):
-        k1u = a11 * u + a12 * v
-        k1v = a21 * u + a22 * v
-        u2 = u + 0.5 * h * k1u
-        v2 = v + 0.5 * h * k1v
-        k2u = a11 * u2 + a12 * v2
-        k2v = a21 * u2 + a22 * v2
-        u3 = u + 0.5 * h * k2u
-        v3 = v + 0.5 * h * k2v
-        k3u = a11 * u3 + a12 * v3
-        k3v = a21 * u3 + a22 * v3
-        u4 = u + h * k3u
-        v4 = v + h * k3v
-        k4u = a11 * u4 + a12 * v4
-        k4v = a21 * u4 + a22 * v4
-        u = u + (h / 6.0) * (k1u + 2.0 * (k2u + k3u) + k4u)
-        v = v + (h / 6.0) * (k1v + 2.0 * (k2v + k3v) + k4v)
-    return ChannelState(primary=u, generated=v, z=p.length)
+    a = np.empty(np.shape(y) + (2, 2), dtype=complex)
+    a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1] = a11, a12, a21, a22
+    # the state starts at (boundary, 0): only the first column of the power acts
+    m = rk4_power(a, p.length / steps, int(steps))
+    u = np.asarray(boundary, dtype=complex)
+    return ChannelState(primary=m[..., 0, 0] * u, generated=m[..., 1, 0] * u, z=p.length)
 
 
 def _shared_grid(*fields: ComplexField):
@@ -216,8 +207,11 @@ def output_fields(
         omega_u (z = L face) = probe_s boundary + omega_fs at travel L
     """
     grid = _shared_grid(control_field, probe_p, probe_s)
-    s = solve_channel_s(p, control_field.values, probe_s.values, p.length)
-    q = solve_channel_p(p, control_field.values, probe_p.values, p.length)
+    control = control_field.values
+    # both channels travel the full length, so they share one factor pair
+    factors = _channel_factors(p, control, p.length)
+    s = _channel_state(p, "s", control, probe_s.values, factors, p.length)
+    q = _channel_state(p, "p", control, probe_p.values, factors, p.length)
     return OutputFields(
         omega_d=ComplexField(grid, probe_p.values + s.generated),
         omega_u=ComplexField(grid, probe_s.values + q.generated),

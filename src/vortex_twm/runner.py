@@ -36,6 +36,7 @@ __all__ = [
     "run_config",
     "compute_fields",
     "write_products",
+    "sampling_radius",
     "field_metrics",
     "analyse",
     "write_metrics_csv",
@@ -73,6 +74,16 @@ def _metric_or_blank(fn):
         return ""
 
 
+def sampling_radius(cfg: RunConfig, field: ComplexField, ring=None):
+    """Sampling ring: analysis.radius if pinned, else the brightest ring of field.
+
+    ring, if given, is that brightest ring (field_metrics passes its blank).
+    """
+    if cfg.ring_radius is not None:
+        return cfg.ring_radius
+    return analysis.ring_radius(field) if ring is None else ring
+
+
 def field_metrics(
     name: str, field: ComplexField, cfg: RunConfig
 ) -> tuple[dict, analysis.AzimuthalProfile | None]:
@@ -82,7 +93,7 @@ def field_metrics(
     it is the ring_radius column and, unless pinned, the sampling ring.
     """
     ring = _metric_or_blank(lambda: analysis.ring_radius(field))
-    radius = ring if cfg.ring_radius is None else cfg.ring_radius
+    radius = sampling_radius(cfg, field, ring)
     row = {**dict.fromkeys(METRIC_COLUMNS, ""), "field": name, "radius": radius}
     if radius == "":
         return row, None

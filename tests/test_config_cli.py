@@ -109,6 +109,12 @@ def test_parse_config_error_paths():
         parse_config(_small_doc(grid={"n": 32.5, "extent": 3.0}))
 
 
+@pytest.mark.parametrize("extent", [float("inf"), float("nan")])
+def test_parse_rejects_non_finite_extent(extent):
+    with pytest.raises(InvalidConfigError, match="grid.extent must be finite and positive"):
+        parse_config(_small_doc(grid={"n": 32, "extent": extent}))
+
+
 def test_load_config_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -170,6 +176,17 @@ def test_map_items_preserves_order(monkeypatch):
     for threads in ("1", "4"):
         monkeypatch.setenv("VORTEX_TWM_THREADS", threads)
         assert map_items(lambda k: k * k, range(25)) == [k * k for k in range(25)]
+
+
+def test_cli_rejects_non_finite_extent(tmp_path, capsys):
+    # json writes inf as Infinity, which json.load reads back
+    path = _write_doc(tmp_path, _small_doc(grid={"n": 32, "extent": float("inf")}))
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "grid.extent must be finite and positive" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_no_subcommand_fails():
@@ -249,10 +266,26 @@ def test_cli_profile_argument_errors(tmp_path):
                      "--radius", "9.0", "--out", out]) == 1
 
 
+def test_cli_profile_without_ring_fails(tmp_path, capsys):
+    # a dark control generates nothing, so omega_fp has no ring to sample
+    path = _write_doc(tmp_path, _small_doc(control={"epsilon": 0.0, "tc": 1}))
+    out = tmp_path / "p"
+    assert cli.main(["profile", "--config", str(path), "--field", "fp",
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_verify_fast_passes(capsys):
     assert cli.main(["verify", "--level", "fast"]) == 0
     out = capsys.readouterr().out
     assert "verify: PASS" in out
+
+
+def test_cli_verify_full_passes(capsys):
+    assert cli.main(["verify", "--level", "full"]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
 
 
 def test_cli_verify_unknown_level():

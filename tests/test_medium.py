@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,3 +178,52 @@ def test_evolve_array_path_matches_scalar():
         )
         assert arr.rho31[k] == pytest.approx(one.rho31, rel=1e-13, abs=1e-16)
         assert arr.rho21[k] == pytest.approx(one.rho21, rel=1e-13, abs=1e-16)
+
+
+def _rk4_coherence_loop(p, c, pp, ps, init, t_end, dt):
+    """Literal per-step RK4 of the coherence equations of motion."""
+    steps = max(1, math.ceil(t_end / dt - 1e-12))
+    h = t_end / steps
+    zeros = np.zeros(np.broadcast(c, pp, ps, init.rho31, init.rho21).shape, dtype=complex)
+    u, v = init.rho31 + zeros, init.rho21 + zeros
+
+    def rhs(a, b):
+        return _rhs(p, c, pp, ps, CoherencePair(a, b))
+
+    for _ in range(steps):
+        k1 = rhs(u, v)
+        k2 = rhs(u + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
+        k3 = rhs(u + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
+        k4 = rhs(u + h * k3[0], v + h * k3[1])
+        u = u + (h / 6.0) * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        v = v + (h / 6.0) * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+    return u, v
+
+
+@pytest.mark.parametrize("steps", [100, 101, 127, 128, 1000])
+def test_evolve_is_stepwise_rk4(steps):
+    # the powered augmented matrix must reproduce the step-by-step scheme
+    # for scalars, arrays, and a scalar initial pair against array drives
+    p = MediumParams(1.0, 0.2, -2.0, 1.0)
+    t_end = 2.0
+    dt = t_end / steps
+    cs = np.array([0.5 + 0.1j, 3.0, 0.0, 1.0 - 2.0j])
+    pps = np.array([0.01, 0.0, 0.02j, 0.01 - 0.01j])
+    pss = np.array([0.02j, 0.01, 0.0, 0.005])
+    cases = [
+        (1.5 + 0.3j, 0.01, 0.02j, CoherencePair(0.02 + 0.01j, -0.01j)),
+        (cs, pps, pss, CoherencePair(0.01 * cs, -0.5j * pps)),
+        (cs, 0.01, 0.02j, CoherencePair(0.02 + 0.01j, -0.01j)),
+    ]
+    for c, pp, ps, init in cases:
+        got = evolve_coherences(p, c, pp, ps, init, t_end, dt)
+        ref = _rk4_coherence_loop(p, c, pp, ps, init, t_end, dt)
+        assert np.shape(got.rho31) == np.shape(ref[0]) == np.shape(got.rho21)
+        if np.ndim(c) == 0:  # a scalar call keeps returning Python complex
+            assert type(got.rho31) is complex and type(got.rho21) is complex
+        scale = max(float(np.max(np.abs(ref[0]))), float(np.max(np.abs(ref[1]))))
+        err = max(
+            float(np.max(np.abs(got.rho31 - ref[0]))),
+            float(np.max(np.abs(got.rho21 - ref[1]))),
+        )
+        assert err / scale <= 1e-12

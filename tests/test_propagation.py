@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortex_twm import verify
 from vortex_twm.beams import ComplexField, LGBeamSpec, make_grid, sample_lg
 from vortex_twm.errors import (
     DegenerateMediumError,
@@ -10,8 +11,9 @@ from vortex_twm.errors import (
     InvalidConfigError,
     StepCountError,
 )
-from vortex_twm.medium import MediumParams
+from vortex_twm.medium import MediumParams, y_factor
 from vortex_twm.propagation import (
+    ChannelState,
     integrate_channel_numeric,
     output_fields,
     resultant_at,
@@ -95,6 +97,70 @@ def test_analytic_matches_numeric_scalar(channel, solver):
     scale = max(abs(b0), abs(exact.primary), abs(exact.generated))
     assert abs(exact.primary - num.primary) / scale < 1e-9
     assert abs(exact.generated - num.generated) / scale < 1e-9
+
+
+def _rk4_channel_loop(p, control, boundary, channel, steps):
+    """Literal per-step RK4 of the channel equations in the propagation docstring."""
+    y = y_factor(p, control)
+    pre = 0.5j * p.d / p.length
+    slow = 0.5j * p.gamma21 / y
+    fast = 0.5j * (p.gamma31 + 1j * p.delta) / y
+    if channel == "s":  # state (omega_s, omega_fp)
+        (a11, a12), (a21, a22) = (slow, -0.25 * control / y), (-0.25 * np.conj(control) / y, fast)
+    else:  # state (omega_p, omega_fs)
+        (a11, a12), (a21, a22) = (fast, -0.25 * np.conj(control) / y), (-0.25 * control / y, slow)
+
+    def rhs(u, v):
+        return pre * (a11 * u + a12 * v), pre * (a21 * u + a22 * v)
+
+    h = p.length / steps
+    u = np.asarray(boundary, dtype=complex) + np.zeros(np.shape(control))
+    v = np.zeros_like(u)
+    for _ in range(steps):
+        k1 = rhs(u, v)
+        k2 = rhs(u + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
+        k3 = rhs(u + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
+        k4 = rhs(u + h * k3[0], v + h * k3[1])
+        u = u + (h / 6.0) * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+        v = v + (h / 6.0) * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+    return u, v
+
+
+@pytest.mark.parametrize("steps", [100, 101, 127, 128, 1000])
+@pytest.mark.parametrize("channel", ["s", "p"])
+def test_numeric_oracle_is_stepwise_rk4(channel, steps):
+    # the powered one-step matrix must reproduce the step-by-step scheme,
+    # for odd and even exponents, pixel arrays and scalars alike
+    p = MediumParams(1.0, 0.11, -4.0, 55.0)
+    grid = make_grid(16, 3.0)
+    cases = [
+        (2.5 * np.exp(0.4j), 0.005 * np.exp(-1.1j)),
+        (sample_lg(LGBeamSpec(4.0, 1), grid).values, sample_lg(LGBeamSpec(0.005, 0), grid).values),
+    ]
+    for control, boundary in cases:
+        got = integrate_channel_numeric(p, control, boundary, channel, steps)
+        ref = _rk4_channel_loop(p, control, boundary, channel, steps)
+        assert np.shape(got.primary) == np.shape(ref[0])
+        scale = max(float(np.max(np.abs(ref[0]))), float(np.max(np.abs(ref[1]))))
+        err = max(
+            float(np.max(np.abs(got.primary - ref[0]))),
+            float(np.max(np.abs(got.generated - ref[1]))),
+        )
+        assert err / scale <= 1e-12
+
+
+def test_channel_oracle_catches_sign_flip(monkeypatch):
+    # the automated form of the README mutation check: a flipped sign on the
+    # generated s-channel field must drive the oracle suite far out of tolerance
+    original = verify.solve_channel_s
+
+    def flipped(*args):
+        state = original(*args)
+        return ChannelState(primary=state.primary, generated=-state.generated, z=state.z)
+
+    assert verify.channel_oracle_error(64, 1000) <= 1e-7
+    monkeypatch.setattr(verify, "solve_channel_s", flipped)
+    assert verify.channel_oracle_error(64, 1000) >= 1e-3
 
 
 @given(
