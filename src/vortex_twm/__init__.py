@@ -27,7 +27,6 @@ from .medium import (
 )
 from .propagation import (
     ChannelState,
-    OutputFields,
     integrate_channel_numeric,
     output_fields,
     resultant_at,
@@ -47,7 +46,6 @@ __all__ = [
     "Grid2D",
     "LGBeamSpec",
     "MediumParams",
-    "OutputFields",
     "RunConfig",
     "VortexTwmError",
     "azimuthal_profile",

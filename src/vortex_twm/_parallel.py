@@ -1,37 +1,20 @@
-"""Worker-count policy for independent sweep and figure cells.
+"""Thread pool for independent sweep and figure cells.
 
-VORTEX_TWM_THREADS caps the number of worker threads (0 or unset means
-automatic).  Cells are pure per-config computations writing to disjoint
-directories, so results and output bytes are identical at any worker
-count; ordering of the returned list always follows the input order.
+One worker per CPU, capped by the number of cells; a single worker runs
+the cells in a plain loop.  Cells are pure per-config computations
+writing to disjoint directories, so results and output bytes are
+identical at any worker count; the returned list follows the input order.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import InvalidConfigError
-
-ENV_VAR = "VORTEX_TWM_THREADS"
-
-
-def worker_count(n_items: int) -> int:
-    raw = os.environ.get(ENV_VAR, "0").strip() or "0"
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidConfigError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise InvalidConfigError(f"{ENV_VAR} must be >= 0, got {cap}")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_items))
-
 
 def map_items(fn, items):
     items = list(items)
-    workers = worker_count(len(items))
-    if workers <= 1 or len(items) <= 1:
+    workers = min(os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

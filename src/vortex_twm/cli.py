@@ -91,9 +91,11 @@ def _cmd_profile(args) -> int:
     profile = azimuthal_profile(field, radius, cfg.profile_m)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_profile_csv(profile, out_dir / f"profile_{name}.csv")
-    write_manifest(out_dir, {"profile": {"field": name, "radius": radius, "m": cfg.profile_m}})
-    print(f"profile of {name} at radius {radius:g}: wrote {out_dir / f'profile_{name}.csv'}")
+    path = out_dir / f"profile_{name}.csv"
+    write_profile_csv(profile, path)
+    payload = {"profile": {"field": name, "radius": radius, "m": cfg.profile_m}}
+    write_manifest(out_dir, payload, [path])
+    print(f"profile of {name} at radius {radius:g}: wrote {path}")
     return 0
 
 

@@ -81,6 +81,11 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         )
     if not (math.isfinite(cfg.grid_extent) and cfg.grid_extent > 0):
         raise InvalidConfigError(f"grid.extent must be finite and positive, got {cfg.grid_extent!r}")
+    waist = max(cfg.control.waist, cfg.probe_p.waist, cfg.probe_s.waist)
+    if cfg.grid_extent < waist:
+        raise InvalidConfigError(
+            f"grid.extent = {cfg.grid_extent!r} does not reach the beam waist {waist!r}"
+        )
     need_m = 16 * (lmax + 1)
     if not isinstance(cfg.profile_m, int) or cfg.profile_m < need_m:
         raise InvalidConfigError(

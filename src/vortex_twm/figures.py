@@ -71,22 +71,24 @@ def _weak_probe(tc: int) -> LGBeamSpec:
     return LGBeamSpec(epsilon=0.005, tc=tc)
 
 
-def _transfer_config(lc: int) -> RunConfig:
+def _transfer_base() -> RunConfig:
+    """Deep-medium flat-probe cell of fig3; the presets sweep its control charge."""
     return RunConfig(
         medium=MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=TRANSFER_DEPTH),
-        control=LGBeamSpec(epsilon=4.0, tc=lc),
+        control=LGBeamSpec(epsilon=4.0, tc=1),
         probe_p=_weak_probe(0),
         probe_s=_weak_probe(0),
         outputs=("images", "metrics"),
     )
 
 
-def _interference_config(delta: float, lc: int, depth: float, outputs) -> RunConfig:
+def _interference_base(depth: float, outputs) -> RunConfig:
+    """Unit-charge interference cell on the pinned ring, resonant, at depth d."""
     n = ANGLE_GRID_N
     extent = 3.0
     return RunConfig(
-        medium=MediumParams(gamma31=1.0, gamma21=0.05, delta=float(delta), d=depth),
-        control=LGBeamSpec(epsilon=4.0, tc=lc),
+        medium=MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=depth),
+        control=LGBeamSpec(epsilon=4.0, tc=1),
         probe_p=_weak_probe(1),
         probe_s=_weak_probe(1),
         grid_n=n,
@@ -99,7 +101,8 @@ def _interference_config(delta: float, lc: int, depth: float, outputs) -> RunCon
 def _run_cells(cells, out_dir):
     """Run (label, config) cells in parallel; products land in out_dir/label.
 
-    Returns (label, config, fields, analyse result) per cell.
+    Returns (label, config, fields, analyse result) per cell, and every
+    path the cells wrote, their manifests included.
     """
 
     def work(cell):
@@ -107,24 +110,27 @@ def _run_cells(cells, out_dir):
         validate_config(cfg)
         fields = compute_fields(cfg)
         analysed = analyse(cfg, fields)
-        write_products(cfg, out_dir / label, fields, analysed)
-        return label, cfg, fields, analysed
+        cell_dir = out_dir / label
+        manifest = write_products(cfg, cell_dir, fields, analysed)
+        written = [cell_dir / e["path"] for e in manifest["files"]] + [cell_dir / "manifest.json"]
+        return (label, cfg, fields, analysed), written
 
-    return map_items(work, cells)
+    done = map_items(work, cells)
+    return [result for result, _ in done], [path for _, written in done for path in written]
 
 
-def _write_figure(out_dir, fig_id: str, cells, rows, columns, notes: str) -> dict:
-    """Figure-level metrics table and a manifest covering every cell."""
+def _write_table(out_dir, cells, payload: dict, rows, columns, written) -> dict:
+    """Top-level metrics table and a manifest of it plus every cell file."""
     write_metrics_csv(rows, columns, out_dir / "metrics.csv")
-    return write_manifest(
-        out_dir, {"figure": fig_id, "cells": [label for label, _ in cells], "notes": notes}
-    )
+    payload = {**payload, "cells": [label for label, _ in cells]}
+    return write_manifest(out_dir, payload, [*written, out_dir / "metrics.csv"])
 
 
 def _fig3(out_dir) -> dict:
-    cells = [(f"lc_{lc:g}", _transfer_config(lc)) for lc in CHARGE_SWEEP_TRANSFER]
+    cells = _sweep_cells(_transfer_base(), "lc", CHARGE_SWEEP_TRANSFER)
+    results, written = _run_cells(cells, out_dir)
     rows = []
-    for _label, cfg, _fields, analysed in _run_cells(cells, out_dir):
+    for _label, cfg, _fields, analysed in results:
         fp, fs = analysed["omega_fp"][0], analysed["omega_fs"][0]
         rows.append(
             {
@@ -137,7 +143,7 @@ def _fig3(out_dir) -> dict:
         )
     columns = ("lc", "winding_fs", "winding_fp", "ring_fp", "ring_fs")
     notes = "charge transfer to the generated fields, flat probes, d = 100"
-    return _write_figure(out_dir, "fig3", cells, rows, columns, notes)
+    return _write_table(out_dir, cells, {"figure": "fig3", "notes": notes}, rows, columns, written)
 
 
 def _resultant_columns(analysed) -> dict:
@@ -154,41 +160,35 @@ def _resultant_columns(analysed) -> dict:
     }
 
 
-def _crescent_rows(cells, out_dir):
-    return [
+def _crescent_figure(out_dir, fig_id: str, outputs, columns, notes: str) -> dict:
+    """fig4/fig5: the d = 8 interference cell swept over DETUNING_SWEEP."""
+    cells = _sweep_cells(_interference_base(CRESCENT_DEPTH, outputs), "delta", DETUNING_SWEEP)
+    results, written = _run_cells(cells, out_dir)
+    rows = [
         {"delta": cfg.medium.delta, **_resultant_columns(analysed)}
-        for _label, cfg, _fields, analysed in _run_cells(cells, out_dir)
+        for _label, cfg, _fields, analysed in results
     ]
-
-
-def _detuning_cells(outputs):
-    return [
-        (f"delta_{delta:g}", _interference_config(delta, 1, CRESCENT_DEPTH, outputs))
-        for delta in DETUNING_SWEEP
-    ]
+    return _write_table(out_dir, cells, {"figure": fig_id, "notes": notes}, rows, columns, written)
 
 
 def _fig4(out_dir) -> dict:
-    cells = _detuning_cells(("images", "metrics"))
     columns = ("delta", "radius", "petal_d", "petal_u", "peak_d", "peak_u", "spread_d", "spread_u")
     notes = "crescent rotation under detuning, unit charges, d = 8"
-    return _write_figure(out_dir, "fig4", cells, _crescent_rows(cells, out_dir), columns, notes)
+    return _crescent_figure(out_dir, "fig4", ("images", "metrics"), columns, notes)
 
 
 def _fig5(out_dir) -> dict:
-    cells = _detuning_cells(("profiles", "metrics"))
     columns = ("delta", "radius", "peak_d", "peak_u", "spread_d", "spread_u")
     notes = "azimuthal profiles versus detuning on a common ring, d = 8"
-    return _write_figure(out_dir, "fig5", cells, _crescent_rows(cells, out_dir), columns, notes)
+    return _crescent_figure(out_dir, "fig5", ("profiles", "metrics"), columns, notes)
 
 
 def _fig6(out_dir) -> dict:
-    cells = [
-        (f"lc_{lc:g}", _interference_config(0.0, lc, PETAL_DEPTH, ("images", "metrics")))
-        for lc in CHARGE_SWEEP_PETALS
-    ]
+    base = _interference_base(PETAL_DEPTH, ("images", "metrics"))
+    cells = _sweep_cells(base, "lc", CHARGE_SWEEP_PETALS)
+    results, written = _run_cells(cells, out_dir)
     rows = []
-    for _label, cfg, fields, analysed in _run_cells(cells, out_dir):
+    for _label, cfg, fields, analysed in results:
         row = {"lc": cfg.control.tc, **_resultant_columns(analysed)}
         # winding on the brightest ring, not on the pinned one
         for name, key in (("omega_fp", "fp"), ("omega_fs", "fs")):
@@ -212,7 +212,7 @@ def _fig6(out_dir) -> dict:
         "ring_fs",
     )
     notes = "petal interference for control charges 2..4, unit probes, d = 4"
-    return _write_figure(out_dir, "fig6", cells, rows, columns, notes)
+    return _write_table(out_dir, cells, {"figure": "fig6", "notes": notes}, rows, columns, written)
 
 
 _FIGURES = {"fig3": _fig3, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6}
@@ -241,6 +241,26 @@ def _sweep_cell(cfg: RunConfig, param: str, value: float) -> RunConfig:
     return replace(cfg, control=replace(cfg.control, epsilon=float(value)))
 
 
+def _sweep_cells(cfg: RunConfig, param: str, values) -> list[tuple[str, RunConfig]]:
+    """(label, config) per value of param over cfg, labelled param_{value:g}.
+
+    Rejects an unknown param, an empty list and values whose labels collide.
+    """
+    if param not in SWEEP_PARAMS:
+        raise InvalidConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
+    if not values:
+        raise InvalidConfigError("sweep needs at least one value")
+    labels = {}
+    for v in map(float, values):
+        label = f"{param}_{v:g}"
+        if label in labels:
+            raise InvalidConfigError(
+                f"sweep values {labels[label]!r} and {v!r} share the cell label {label!r}"
+            )
+        labels[label] = v
+    return [(label, _sweep_cell(cfg, param, v)) for label, v in labels.items()]
+
+
 def run_sweep(cfg: RunConfig, param: str, values, out_dir) -> dict:
     """Re-run one base config across a parameter axis.
 
@@ -249,27 +269,13 @@ def run_sweep(cfg: RunConfig, param: str, values, out_dir) -> dict:
     own cell directory of products plus a row block in the sweep-level
     metrics table (one row per output field, long format).
     """
-    if param not in SWEEP_PARAMS:
-        raise InvalidConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
     values = [float(v) for v in values]
-    if not values:
-        raise InvalidConfigError("sweep needs at least one value")
-    labels = {}
-    for v in values:
-        label = f"{param}_{v:g}"
-        if label in labels:
-            raise InvalidConfigError(
-                f"sweep values {labels[label]!r} and {v!r} share the cell label {label!r}"
-            )
-        labels[label] = v
-    cells = [(label, _sweep_cell(cfg, param, v)) for label, v in labels.items()]
+    cells = _sweep_cells(cfg, param, values)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    results, written = _run_cells(cells, out_dir)
     rows = []
-    for (_label, _cfg, _fields, analysed), value in zip(_run_cells(cells, out_dir), values):
+    for (_label, _cfg, _fields, analysed), value in zip(results, values):
         rows.extend({param: value, **row} for row, _profile in analysed.values())
-    write_metrics_csv(rows, (param,) + METRIC_COLUMNS, out_dir / "metrics.csv")
-    return write_manifest(
-        out_dir,
-        {"sweep": {"param": param, "values": values}, "cells": [label for label, _ in cells]},
-    )
+    payload = {"sweep": {"param": param, "values": values}}
+    return _write_table(out_dir, cells, payload, rows, (param,) + METRIC_COLUMNS, written)

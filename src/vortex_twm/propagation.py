@@ -37,7 +37,6 @@ from .medium import MediumParams, beta_factor, _checked_y, rk4_power
 
 __all__ = [
     "ChannelState",
-    "OutputFields",
     "solve_channel_s",
     "solve_channel_p",
     "integrate_channel_numeric",
@@ -56,27 +55,6 @@ class ChannelState:
     primary: np.ndarray
     generated: np.ndarray
     z: float
-
-
-@dataclass
-class OutputFields:
-    """Composed resultant fields plus their constituents at both faces.
-
-    omega_d lives at the laboratory z = 0 face (the p-probe frequency);
-    omega_u at the z = L face (the s-probe frequency).  The *_out fields
-    are the four propagated constituents at their exit faces; the *_in
-    fields are the entry-face boundary values (at which the generated
-    fields are identically zero).
-    """
-
-    omega_d: ComplexField
-    omega_u: ComplexField
-    omega_s_out: ComplexField
-    omega_fp_out: ComplexField
-    omega_p_out: ComplexField
-    omega_fs_out: ComplexField
-    omega_p_in: ComplexField
-    omega_s_in: ComplexField
 
 
 def _check_z(p: MediumParams, z: float) -> float:
@@ -196,8 +174,8 @@ def output_fields(
     control_field: ComplexField,
     probe_p: ComplexField,
     probe_s: ComplexField,
-) -> OutputFields:
-    """Propagate both channels across the medium and compose the outputs.
+) -> dict[str, ComplexField]:
+    """Propagate both channels across the medium and return the six output fields.
 
     The resultant field at each exit face superposes the boundary probe
     entering there with the counter-propagating generated field arriving
@@ -205,6 +183,9 @@ def output_fields(
 
         omega_d (z = 0 face) = probe_p boundary + omega_fp at travel L
         omega_u (z = L face) = probe_s boundary + omega_fs at travel L
+
+    omega_fp, omega_fs, omega_s and omega_p are the propagated constituents
+    at their exit faces, the generated fields and the transmitted probes.
     """
     grid = _shared_grid(control_field, probe_p, probe_s)
     control = control_field.values
@@ -212,16 +193,15 @@ def output_fields(
     factors = _channel_factors(p, control, p.length)
     s = _channel_state(p, "s", control, probe_s.values, factors, p.length)
     q = _channel_state(p, "p", control, probe_p.values, factors, p.length)
-    return OutputFields(
-        omega_d=ComplexField(grid, probe_p.values + s.generated),
-        omega_u=ComplexField(grid, probe_s.values + q.generated),
-        omega_s_out=ComplexField(grid, s.primary),
-        omega_fp_out=ComplexField(grid, s.generated),
-        omega_p_out=ComplexField(grid, q.primary),
-        omega_fs_out=ComplexField(grid, q.generated),
-        omega_p_in=ComplexField(grid, probe_p.values.copy()),
-        omega_s_in=ComplexField(grid, probe_s.values.copy()),
-    )
+    values = {
+        "omega_d": probe_p.values + s.generated,
+        "omega_u": probe_s.values + q.generated,
+        "omega_fp": s.generated,
+        "omega_fs": q.generated,
+        "omega_s": s.primary,
+        "omega_p": q.primary,
+    }
+    return {name: ComplexField(grid, v) for name, v in values.items()}
 
 
 def resultant_at(

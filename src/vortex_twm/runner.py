@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 from . import analysis
@@ -41,7 +40,6 @@ __all__ = [
     "analyse",
     "write_metrics_csv",
     "write_manifest",
-    "hash_tree",
 ]
 
 # the four fields whose rings carry the observables; the transmitted
@@ -56,15 +54,7 @@ def compute_fields(cfg: RunConfig) -> dict[str, ComplexField]:
     control = sample_lg(cfg.control, grid)
     probe_p = sample_lg(cfg.probe_p, grid)
     probe_s = sample_lg(cfg.probe_s, grid)
-    out = output_fields(cfg.medium, control, probe_p, probe_s)
-    return {
-        "omega_d": out.omega_d,
-        "omega_u": out.omega_u,
-        "omega_fp": out.omega_fp_out,
-        "omega_fs": out.omega_fs_out,
-        "omega_s": out.omega_s_out,
-        "omega_p": out.omega_p_out,
-    }
+    return output_fields(cfg.medium, control, probe_p, probe_s)
 
 
 def _metric_or_blank(fn):
@@ -134,27 +124,19 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def hash_tree(out_dir, skip=("manifest.json",)) -> list[dict]:
-    """Size and digest of every file under out_dir, sorted by relative path."""
-    out_dir = Path(out_dir)
-    entries = []
-    for root, _dirs, names in os.walk(out_dir):
-        for name in names:
-            full = Path(root) / name
-            rel = full.relative_to(out_dir).as_posix()
-            if rel in skip:
-                continue
-            entries.append(
-                {"path": rel, "bytes": full.stat().st_size, "sha256": file_sha256(full)}
-            )
-    return sorted(entries, key=lambda e: e["path"])
+def write_manifest(out_dir, payload: dict, paths) -> dict:
+    """Attach size and digest of each written path and write manifest.json.
 
-
-def write_manifest(out_dir, payload: dict) -> dict:
-    """Attach the hashed file list and write manifest.json deterministically."""
+    paths are the files this run wrote under out_dir; they are listed by
+    path relative to out_dir, sorted, so the manifest is deterministic.
+    """
     out_dir = Path(out_dir)
-    payload = dict(payload)
-    payload["files"] = hash_tree(out_dir)
+    files = []
+    for path in paths:
+        path = Path(path)
+        rel = path.relative_to(out_dir).as_posix()
+        files.append({"path": rel, "bytes": path.stat().st_size, "sha256": file_sha256(path)})
+    payload = {**payload, "files": sorted(files, key=lambda e: e["path"])}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     (out_dir / "manifest.json").write_text(text, encoding="utf-8")
     return payload
@@ -178,33 +160,33 @@ def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField], ana
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+
+    def target(subdir: str, name: str) -> Path:
+        (out_dir / subdir).mkdir(exist_ok=True)
+        written.append(out_dir / subdir / name)
+        return written[-1]
 
     if "fields" in cfg.outputs:
-        fdir = out_dir / "fields"
-        fdir.mkdir(exist_ok=True)
         for name, fld in fields.items():
-            write_field_csv(fld, fdir / f"{name}.csv")
+            write_field_csv(fld, target("fields", f"{name}.csv"))
 
     if "images" in cfg.outputs:
-        idir = out_dir / "images"
-        idir.mkdir(exist_ok=True)
         spec = ImageSpec()
         for name, fld in fields.items():
-            write_intensity_pgm(fld, spec, idir / f"{name}_intensity.pgm")
-            write_phase_ppm(fld, idir / f"{name}_phase.ppm")
+            write_intensity_pgm(fld, spec, target("images", f"{name}_intensity.pgm"))
+            write_phase_ppm(fld, target("images", f"{name}_phase.ppm"))
 
     if analysed is None and {"profiles", "metrics"} & set(cfg.outputs):
         analysed = analyse(cfg, fields)
 
     if "profiles" in cfg.outputs:
-        pdir = out_dir / "profiles"
-        pdir.mkdir(exist_ok=True)
         for name, (_row, profile) in analysed.items():
             if profile is not None:
-                write_profile_csv(profile, pdir / f"{name}_profile.csv")
+                write_profile_csv(profile, target("profiles", f"{name}_profile.csv"))
 
     if "metrics" in cfg.outputs:
         rows = [row for row, _profile in analysed.values()]
-        write_metrics_csv(rows, METRIC_COLUMNS, out_dir / "metrics.csv")
+        write_metrics_csv(rows, METRIC_COLUMNS, target("", "metrics.csv"))
 
-    return write_manifest(out_dir, {"config": config_to_dict(cfg)})
+    return write_manifest(out_dir, {"config": config_to_dict(cfg)}, written)

@@ -296,7 +296,7 @@ def sum_ripple_error() -> float:
     |omega_d|^2 + |omega_u|^2 is angular ripple.
     """
     _, out = _anti_phase_outputs()
-    s = np.abs(out.omega_d.values) ** 2 + np.abs(out.omega_u.values) ** 2
+    s = np.abs(out["omega_d"].values) ** 2 + np.abs(out["omega_u"].values) ** 2
     peak = float(s.max())
     orbit = (
         s[::-1, :], s[:, ::-1], s[::-1, ::-1],
@@ -309,8 +309,8 @@ def anti_phase_peak_error() -> float:
     """At delta = 0 the two output crescents must point pi apart."""
     grid, out = _anti_phase_outputs()
     target = grid.step * round(math.sqrt(0.5) / grid.step)
-    peak_d = peak_angle(azimuthal_profile(out.omega_d, target))
-    peak_u = peak_angle(azimuthal_profile(out.omega_u, target))
+    peak_d = peak_angle(azimuthal_profile(out["omega_d"], target))
+    peak_u = peak_angle(azimuthal_profile(out["omega_u"], target))
     return abs((peak_d - peak_u) % (2.0 * np.pi) - np.pi)
 
 

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from vortex_twm import cli
-from vortex_twm._parallel import map_items, worker_count
+from vortex_twm._parallel import map_items
 from vortex_twm.config import (
     RunConfig,
     WeakProbeWarning,
@@ -156,26 +157,57 @@ def test_manifest_echo_reproduces_run_bytes(tmp_path):
         assert (first / rel).read_bytes() == (second / rel).read_bytes()
 
 
-def test_worker_count_env_policy(monkeypatch):
-    monkeypatch.delenv("VORTEX_TWM_THREADS", raising=False)
-    assert worker_count(4) >= 1
-    monkeypatch.setenv("VORTEX_TWM_THREADS", "3")
-    assert worker_count(10) == 3
-    assert worker_count(2) == 2
-    monkeypatch.setenv("VORTEX_TWM_THREADS", "0")
-    assert worker_count(8) >= 1
-    monkeypatch.setenv("VORTEX_TWM_THREADS", "abc")
-    with pytest.raises(InvalidConfigError):
-        worker_count(4)
-    monkeypatch.setenv("VORTEX_TWM_THREADS", "-2")
-    with pytest.raises(InvalidConfigError):
-        worker_count(4)
-
-
 def test_map_items_preserves_order(monkeypatch):
-    for threads in ("1", "4"):
-        monkeypatch.setenv("VORTEX_TWM_THREADS", threads)
-        assert map_items(lambda k: k * k, range(25)) == [k * k for k in range(25)]
+    for cpus in (1, 4):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        threads = set()
+
+        def square(k):
+            threads.add(threading.current_thread())
+            return k * k
+
+        assert map_items(square, range(25)) == [k * k for k in range(25)]
+        # one CPU runs the cells in a plain loop; more run them on a pool of at most cpus
+        if cpus == 1:
+            assert threads == {threading.current_thread()}
+        else:
+            assert threading.current_thread() not in threads
+            assert len(threads) <= cpus
+
+
+def test_rerun_manifest_lists_only_this_run(tmp_path, capsys):
+    out = tmp_path / "run"
+    full = _write_doc(tmp_path, _small_doc(outputs=["fields", "images", "profiles", "metrics"]))
+    assert cli.main(["fields", "--config", str(full), "--out", str(out)]) == 0
+    capsys.readouterr()
+    images = _write_doc(tmp_path, _small_doc(outputs=["images"]), name="images.json")
+    assert cli.main(["fields", "--config", str(images), "--out", str(out)]) == 0
+    listed = [e["path"] for e in json.loads((out / "manifest.json").read_text())["files"]]
+    assert listed == sorted(p.relative_to(out).as_posix() for p in (out / "images").iterdir())
+    assert len(listed) == 12
+    # the stale products of the first run are still on disk but not listed
+    assert (out / "metrics.csv").exists() and (out / "fields").is_dir()
+    assert f"wrote {len(listed)} files" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("extent", [1e-300, 0.5])
+def test_parse_rejects_extent_inside_waist(extent):
+    with pytest.raises(InvalidConfigError, match="grid.extent"):
+        parse_config(_small_doc(grid={"n": 32, "extent": extent}))
+
+
+def test_parse_accepts_extent_at_waist():
+    assert parse_config(_small_doc(grid={"n": 32, "extent": 1.0})).grid_extent == 1.0
+
+
+def test_cli_rejects_extent_inside_waist(tmp_path, capsys):
+    path = _write_doc(tmp_path, _small_doc(grid={"n": 32, "extent": 1e-300}))
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "grid.extent" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_rejects_non_finite_extent(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -171,3 +172,22 @@ def test_fig3_table_reads_cell_metrics(tmp_path, monkeypatch):
         for key in ("fp", "fs"):
             assert line[f"winding_{key}"] == cell[f"omega_{key}"]["winding"]
             assert line[f"ring_{key}"] == cell[f"omega_{key}"]["ring_radius"]
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
+    }
+
+
+def test_sweep_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
+    cfg = replace(_base_config(n=32, extent=3.0), outputs=("images", "profiles", "metrics"))
+    trees = []
+    for cpus in (1, 2):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus_{cpus}"
+        manifest = run_sweep(cfg, "delta", [-3.0, 0.0, 3.0], out)
+        trees.append(_tree_bytes(out))
+        # the sweep manifest lists every file of the tree but itself
+        assert [e["path"] for e in manifest["files"]] == sorted(set(trees[-1]) - {"manifest.json"})
+    assert trees[0] == trees[1]
