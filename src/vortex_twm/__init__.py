@@ -22,14 +22,12 @@ from .medium import (
     beta_factor,
     evolve_coherences,
     steady_coherences,
-    steady_decomposition,
     y_factor,
 )
 from .propagation import (
     ChannelState,
     integrate_channel_numeric,
     output_fields,
-    resultant_at,
     solve_channel_p,
     solve_channel_s,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "peak_angle",
     "petal_count",
     "reproduce_figure",
-    "resultant_at",
     "ring_radius",
     "run_config",
     "run_sweep",
@@ -70,7 +67,6 @@ __all__ = [
     "solve_channel_p",
     "solve_channel_s",
     "steady_coherences",
-    "steady_decomposition",
     "validate_config",
     "winding_number",
     "y_factor",

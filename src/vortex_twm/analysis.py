@@ -1,8 +1,9 @@
 """Observables extracted from complex fields.
 
-Ring sampling uses bilinear interpolation on the field grid; all angular
-quantities follow the grid convention theta = atan2(y, x) measured
-counterclockwise from +x.
+Every ring is sampled exactly, through the field's closed form
+ComplexField.at, never interpolated from the grid; a field without one
+raises NoClosedFormError.  All angular quantities follow the grid
+convention theta = atan2(y, x) measured counterclockwise from +x.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from .beams import ComplexField
 from .errors import (
     AmplitudeFloorError,
     InvalidConfigError,
+    NoClosedFormError,
     NonIntegerWindingError,
     OutOfGridError,
     StructurelessProfileError,
@@ -44,26 +46,6 @@ class AzimuthalProfile:
     intensities: np.ndarray
 
 
-def _bilinear(field: ComplexField, xq: np.ndarray, yq: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of field values at query points in waist units."""
-    g = field.grid
-    if g.n < 2:
-        raise OutOfGridError("interpolation needs a grid with at least 2x2 samples")
-    fx = (np.asarray(xq, dtype=float) + g.extent) / g.step
-    fy = (np.asarray(yq, dtype=float) + g.extent) / g.step
-    i0 = np.clip(np.floor(fx).astype(int), 0, g.n - 2)
-    j0 = np.clip(np.floor(fy).astype(int), 0, g.n - 2)
-    tx = fx - i0
-    ty = fy - j0
-    v = field.values
-    return (
-        v[j0, i0] * (1.0 - tx) * (1.0 - ty)
-        + v[j0, i0 + 1] * tx * (1.0 - ty)
-        + v[j0 + 1, i0] * (1.0 - tx) * ty
-        + v[j0 + 1, i0 + 1] * tx * ty
-    )
-
-
 def _check_radius(field: ComplexField, radius: float) -> float:
     radius = float(radius)
     if not np.isfinite(radius) or radius < 0 or radius > field.grid.extent:
@@ -73,18 +55,21 @@ def _check_radius(field: ComplexField, radius: float) -> float:
     return radius
 
 
-def _ring_values(field: ComplexField, radius: float, m: int) -> np.ndarray:
+def _ring(field: ComplexField, radius, m: int):
+    """(thetas, values) at m uniform angles on the ring(s) of a radius or a column of radii."""
+    if field.at is None:
+        raise NoClosedFormError("field has no closed form (at) to sample its rings from")
     thetas = 2.0 * np.pi * np.arange(m) / m
-    return _bilinear(field, radius * np.cos(thetas), radius * np.sin(thetas))
+    return thetas, field.at(radius, thetas)
 
 
 def winding_number(field: ComplexField, radius: float | None = None, m: int = DEFAULT_M) -> int:
     """Topological charge: accumulated ring phase divided by 2*pi.
 
     Sums per-step phase differences, each wrapped to (-pi, pi], around m
-    bilinearly interpolated samples of the ring.  By default the ring of
-    maximum azimuthally averaged intensity is used (best signal above the
-    amplitude floor, away from the axis singularity and the grid tails).
+    exact samples of the ring.  By default the ring of maximum azimuthally
+    averaged intensity is used (best signal above the amplitude floor,
+    away from the axis singularity and the grid tails).
     """
     if radius is None:
         radius = ring_radius(field)
@@ -92,7 +77,7 @@ def winding_number(field: ComplexField, radius: float | None = None, m: int = DE
     peak = float(np.max(np.abs(field.values)))
     if peak == 0.0:
         raise AmplitudeFloorError("zero field has no phase to wind")
-    vals = _ring_values(field, radius, m)
+    _, vals = _ring(field, radius, m)
     if np.min(np.abs(vals)) < AMPLITUDE_FLOOR * peak:
         raise AmplitudeFloorError(
             f"ring amplitude fell below {AMPLITUDE_FLOOR} of the field maximum"
@@ -112,8 +97,7 @@ def azimuthal_profile(field: ComplexField, radius: float, m: int = DEFAULT_M) ->
     if not isinstance(m, (int, np.integer)) or m < 16:
         raise InvalidConfigError(f"profile sample count m must be >= 16, got {m!r}")
     radius = _check_radius(field, radius)
-    thetas = 2.0 * np.pi * np.arange(int(m)) / int(m)
-    vals = _bilinear(field, radius * np.cos(thetas), radius * np.sin(thetas))
+    thetas, vals = _ring(field, radius, int(m))
     return AzimuthalProfile(radius=radius, thetas=thetas, intensities=np.abs(vals) ** 2)
 
 
@@ -122,8 +106,8 @@ def petal_count(profile: AzimuthalProfile) -> int:
 
     Returns argmax over k in [1, m/2) of |F_k| from the real FFT, or 0 when
     no harmonic reaches PETAL_FLOOR of |F_0| (structureless profile).
-    Fourier weighting is robust to interpolation ripple and to unequal
-    petal heights, unlike counting local maxima.
+    Fourier weighting is robust to unequal petal heights, unlike counting
+    local maxima.
     """
     intens = np.asarray(profile.intensities, dtype=float)
     m = intens.size
@@ -139,37 +123,33 @@ def petal_count(profile: AzimuthalProfile) -> int:
 
 
 def peak_angle(profile: AzimuthalProfile) -> float:
-    """Angle of the profile's global maximum, in [0, 2*pi).
+    """First crest of the dominant harmonic k = petal_count, in [0, 2*pi/k).
 
-    The discrete argmax is refined by a three-point quadratic fit with
-    circular neighbors.  Requires azimuthal structure (petal_count >= 1).
+    F_k = |F_k| exp(i phi) makes the harmonic cos(k theta + phi), cresting
+    at -phi/k modulo 2*pi/k: the maxima of the model's a + b cos(k theta +
+    phi) profiles, without ties among identical petals.
     """
-    if petal_count(profile) < 1:
+    k = petal_count(profile)
+    if k < 1:
         raise StructurelessProfileError("profile has no azimuthal structure")
-    intens = profile.intensities
-    m = intens.size
-    k = int(np.argmax(intens))
-    prev_i = intens[k - 1]
-    next_i = intens[(k + 1) % m]
-    denom = prev_i - 2.0 * intens[k] + next_i
-    offset = 0.0 if denom == 0.0 else 0.5 * (prev_i - next_i) / denom
-    angle = float((2.0 * np.pi * (k + offset) / m) % (2.0 * np.pi))
+    f_k = np.fft.rfft(np.asarray(profile.intensities, dtype=float))[k]
+    period = 2.0 * np.pi / k
+    angle = float((-np.angle(f_k) / k) % period)
     # % of a tiny negative angle rounds up to the modulus itself
-    return 0.0 if angle == 2.0 * np.pi else angle
+    return 0.0 if angle == period else angle
 
 
 def ring_radius(field: ComplexField, m: int = DEFAULT_M) -> float:
     """Radius maximizing the azimuthally averaged intensity.
 
-    Scans rings at half-pixel spacing from the axis to the grid extent.
-    Ties resolve to the smallest radius (deterministic argmax).
+    Scans rings at half-pixel spacing from the axis to the grid extent,
+    each sampled at m angles.  Ties resolve to the smallest radius
+    (deterministic argmax).
     """
     if float(np.max(np.abs(field.values))) == 0.0:
         raise ZeroFieldError("ring radius undefined for an all-zero field")
     g = field.grid
     radii = np.arange(0.0, g.extent + 0.25 * g.step, 0.5 * g.step)
-    thetas = 2.0 * np.pi * np.arange(m) / m
-    xq = radii[:, None] * np.cos(thetas)[None, :]
-    yq = radii[:, None] * np.sin(thetas)[None, :]
-    means = (np.abs(_bilinear(field, xq, yq)) ** 2).mean(axis=1)
+    _, vals = _ring(field, radii[:, None], m)
+    means = (np.abs(vals) ** 2).mean(axis=1)
     return float(radii[int(np.argmax(means))])

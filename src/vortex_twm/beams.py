@@ -7,7 +7,9 @@ upper-transition decay rate.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -82,10 +84,15 @@ class LGBeamSpec:
 
 @dataclass(eq=False)
 class ComplexField:
-    """Complex amplitude per grid pixel, same units as the beam amplitude."""
+    """Complex amplitude per grid pixel, same units as the beam amplitude.
+
+    at(r, theta), if set, is the formula of the field at any polar points:
+    values is exactly at(grid.r, grid.theta).  A bare array has none.
+    """
 
     grid: Grid2D
     values: np.ndarray
+    at: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -97,15 +104,20 @@ class ComplexField:
             raise InvalidConfigError("field contains non-finite values")
 
 
+def _lg(spec: LGBeamSpec, r, theta):
+    rho = r / spec.waist
+    radial = rho ** abs(spec.tc) * np.exp(-rho * rho)
+    unit = radial * np.exp(1j * spec.tc * theta)
+    # epsilon multiplies last so amplitude scaling is exact, not just close
+    return spec.epsilon * unit
+
+
 def sample_lg(spec: LGBeamSpec, grid: Grid2D) -> ComplexField:
     """Sample eps * (r/w)^|l| * exp(-(r/w)^2) * exp(i*l*theta) on the grid.
 
     The r = 0 pixel is evaluated exactly: 0**0 == 1 gives eps for l = 0,
     and the radial factor is exactly zero for l != 0, so the phase
-    singularity needs no epsilon offset.
+    singularity needs no epsilon offset.  The field's at is this formula.
     """
-    rho = grid.r / spec.waist
-    radial = rho ** abs(spec.tc) * np.exp(-rho * rho)
-    unit = radial * np.exp(1j * spec.tc * grid.theta)
-    # epsilon multiplies last so amplitude scaling is exact, not just close
-    return ComplexField(grid=grid, values=spec.epsilon * unit)
+    at = partial(_lg, spec)
+    return ComplexField(grid, at(grid.r, grid.theta), at)

@@ -58,6 +58,14 @@ class RunConfig:
     def max_charge(self) -> int:
         return max(abs(self.control.tc), abs(self.probe_p.tc), abs(self.probe_s.tc))
 
+    def ring_angles(self) -> int:
+        """Angles of the brightest-ring scan and the floor of analysis.m.
+
+        No output intensity has a ring harmonic above |lc| + |lp| + |ls|,
+        so this many uniform angles give its exact ring mean.
+        """
+        return 16 * (self.max_charge() + 1)
+
 
 def default_config() -> RunConfig:
     """Canonical run: resonant strong vortex control, weak flat probes."""
@@ -86,7 +94,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise InvalidConfigError(
             f"grid.extent = {cfg.grid_extent!r} does not reach the beam waist {waist!r}"
         )
-    need_m = 16 * (lmax + 1)
+    need_m = cfg.ring_angles()
     if not isinstance(cfg.profile_m, int) or cfg.profile_m < need_m:
         raise InvalidConfigError(
             f"analysis.m = {cfg.profile_m!r} under-samples charge {lmax} (need >= {need_m})"
@@ -157,16 +165,13 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise InvalidConfigError("config document must be a JSON object")
     med = _section(doc, "medium")
-    try:
-        medium = MediumParams(
-            gamma31=_number(med, "medium", "gamma31", required=True),
-            gamma21=_number(med, "medium", "gamma21", required=True),
-            delta=_number(med, "medium", "delta", default=0.0),
-            d=_number(med, "medium", "d", required=True),
-            length=_number(med, "medium", "length", default=1.0),
-        )
-    except InvalidConfigError as exc:
-        raise InvalidConfigError(str(exc)) from None
+    medium = MediumParams(
+        gamma31=_number(med, "medium", "gamma31", required=True),
+        gamma21=_number(med, "medium", "gamma21", required=True),
+        delta=_number(med, "medium", "delta", default=0.0),
+        d=_number(med, "medium", "d", required=True),
+        length=_number(med, "medium", "length", default=1.0),
+    )
 
     grid = _section(doc, "grid") if "grid" in doc else {}
     analysis = _section(doc, "analysis") if "analysis" in doc else {}

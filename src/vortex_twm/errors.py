@@ -45,6 +45,10 @@ class ZeroFieldError(VortexTwmError):
     """Operation requires a field with at least one nonzero sample."""
 
 
+class NoClosedFormError(VortexTwmError):
+    """A ring observable was asked of a field that carries no closed form."""
+
+
 class OutOfGridError(VortexTwmError):
     """Requested ring radius extends beyond the sampled grid."""
 

@@ -16,10 +16,10 @@ Preset design notes:
   partner, so they lower d (8 for the crescent suites, 4 for the petal
   suite).  At d = 100 the surviving generated amplitude is ~1e-7 of the
   probe and the azimuthal modulation would sit below measurement floors.
-* Angle metrics are read on a ring snapped to an exact node multiple of
-  an odd grid: cardinal ring samples then land on grid nodes where
-  bilinear interpolation is exact, which removes the dominant error in
-  peak-angle readout.
+* fig4/fig5/fig6 read their angle metrics on a pinned ring near the
+  probe ring, the same ring in every cell, so the tables compare like
+  with like; the ring and the odd grid size are product inputs echoed in
+  each manifest.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-from . import analysis
 from ._parallel import map_items
 from .beams import LGBeamSpec
 from .config import RunConfig, validate_config
@@ -35,7 +34,6 @@ from .errors import InvalidConfigError
 from .medium import MediumParams
 from .runner import (
     METRIC_COLUMNS,
-    _metric_or_blank,
     analyse,
     compute_fields,
     write_manifest,
@@ -53,15 +51,15 @@ TRANSFER_DEPTH = 100.0
 CRESCENT_DEPTH = 8.0
 PETAL_DEPTH = 4.0
 
-ANGLE_GRID_N = 257  # odd so the axes pass through grid nodes
+ANGLE_GRID_N = 257  # odd, so the grid samples the beam axis
 
 
 def _pinned_radius(n: int, extent: float, charge: int = 1, waist: float = 1.0) -> float:
     """Measurement ring snapped to an integer multiple of the grid step.
 
-    Targets the probe ring radius waist*sqrt(|charge|/2); snapping keeps
-    the cardinal ring samples exactly on grid nodes (for odd n), where
-    interpolation error vanishes.
+    Targets the probe ring radius waist*sqrt(|charge|/2).  Ring samples are
+    exact at any radius; the snapped values are kept because the presets'
+    products and manifests record them.
     """
     step = 2.0 * extent / (n - 1)
     return step * round(waist * math.sqrt(abs(charge) / 2.0) / step)
@@ -98,58 +96,11 @@ def _interference_base(depth: float, outputs) -> RunConfig:
     )
 
 
-def _run_cells(cells, out_dir):
-    """Run (label, config) cells in parallel; products land in out_dir/label.
-
-    Returns (label, config, fields, analyse result) per cell, and every
-    path the cells wrote, their manifests included.
-    """
-
-    def work(cell):
-        label, cfg = cell
-        validate_config(cfg)
-        fields = compute_fields(cfg)
-        analysed = analyse(cfg, fields)
-        cell_dir = out_dir / label
-        manifest = write_products(cfg, cell_dir, fields, analysed)
-        written = [cell_dir / e["path"] for e in manifest["files"]] + [cell_dir / "manifest.json"]
-        return (label, cfg, fields, analysed), written
-
-    done = map_items(work, cells)
-    return [result for result, _ in done], [path for _, written in done for path in written]
-
-
-def _write_table(out_dir, cells, payload: dict, rows, columns, written) -> dict:
-    """Top-level metrics table and a manifest of it plus every cell file."""
-    write_metrics_csv(rows, columns, out_dir / "metrics.csv")
-    payload = {**payload, "cells": [label for label, _ in cells]}
-    return write_manifest(out_dir, payload, [*written, out_dir / "metrics.csv"])
-
-
-def _fig3(out_dir) -> dict:
-    cells = _sweep_cells(_transfer_base(), "lc", CHARGE_SWEEP_TRANSFER)
-    results, written = _run_cells(cells, out_dir)
-    rows = []
-    for _label, cfg, _fields, analysed in results:
-        fp, fs = analysed["omega_fp"][0], analysed["omega_fs"][0]
-        rows.append(
-            {
-                "lc": cfg.control.tc,
-                "winding_fs": fs["winding"],
-                "winding_fp": fp["winding"],
-                "ring_fp": fp["ring_radius"],
-                "ring_fs": fs["ring_radius"],
-            }
-        )
-    columns = ("lc", "winding_fs", "winding_fp", "ring_fp", "ring_fs")
-    notes = "charge transfer to the generated fields, flat probes, d = 100"
-    return _write_table(out_dir, cells, {"figure": "fig3", "notes": notes}, rows, columns, written)
-
-
-def _resultant_columns(analysed) -> dict:
-    """Pinned-ring columns of the two resultant outputs, omega_d and omega_u."""
+def _figure_rows(analysed):
+    """Yield the one figure-table row of a cell, selected from its field_metrics rows."""
     (d, prof_d), (u, prof_u) = analysed["omega_d"], analysed["omega_u"]
-    return {
+    fp, fs = analysed["omega_fp"][0], analysed["omega_fs"][0]
+    yield {
         "radius": d["radius"],
         "petal_d": d["petal_count"],
         "petal_u": u["petal_count"],
@@ -157,48 +108,39 @@ def _resultant_columns(analysed) -> dict:
         "peak_u": u["peak_angle"],
         "spread_d": float(prof_d.intensities.max() - prof_d.intensities.min()),
         "spread_u": float(prof_u.intensities.max() - prof_u.intensities.min()),
+        "winding_fs": fs["winding"],
+        "winding_fp": fp["winding"],
+        "ring_fp": fp["ring_radius"],
+        "ring_fs": fs["ring_radius"],
     }
 
 
-def _crescent_figure(out_dir, fig_id: str, outputs, columns, notes: str) -> dict:
-    """fig4/fig5: the d = 8 interference cell swept over DETUNING_SWEEP."""
-    cells = _sweep_cells(_interference_base(CRESCENT_DEPTH, outputs), "delta", DETUNING_SWEEP)
-    results, written = _run_cells(cells, out_dir)
-    rows = [
-        {"delta": cfg.medium.delta, **_resultant_columns(analysed)}
-        for _label, cfg, _fields, analysed in results
-    ]
-    return _write_table(out_dir, cells, {"figure": fig_id, "notes": notes}, rows, columns, written)
+def _fig3(out_dir) -> dict:
+    columns = ("lc", "winding_fs", "winding_fp", "ring_fp", "ring_fs")
+    notes = "charge transfer to the generated fields, flat probes, d = 100"
+    payload = {"figure": "fig3", "notes": notes}
+    base = _transfer_base()
+    return _sweep(base, "lc", CHARGE_SWEEP_TRANSFER, out_dir, payload, columns, _figure_rows)
 
 
 def _fig4(out_dir) -> dict:
+    base = _interference_base(CRESCENT_DEPTH, ("images", "metrics"))
     columns = ("delta", "radius", "petal_d", "petal_u", "peak_d", "peak_u", "spread_d", "spread_u")
     notes = "crescent rotation under detuning, unit charges, d = 8"
-    return _crescent_figure(out_dir, "fig4", ("images", "metrics"), columns, notes)
+    payload = {"figure": "fig4", "notes": notes}
+    return _sweep(base, "delta", DETUNING_SWEEP, out_dir, payload, columns, _figure_rows)
 
 
 def _fig5(out_dir) -> dict:
+    base = _interference_base(CRESCENT_DEPTH, ("profiles", "metrics"))
     columns = ("delta", "radius", "peak_d", "peak_u", "spread_d", "spread_u")
     notes = "azimuthal profiles versus detuning on a common ring, d = 8"
-    return _crescent_figure(out_dir, "fig5", ("profiles", "metrics"), columns, notes)
+    payload = {"figure": "fig5", "notes": notes}
+    return _sweep(base, "delta", DETUNING_SWEEP, out_dir, payload, columns, _figure_rows)
 
 
 def _fig6(out_dir) -> dict:
     base = _interference_base(PETAL_DEPTH, ("images", "metrics"))
-    cells = _sweep_cells(base, "lc", CHARGE_SWEEP_PETALS)
-    results, written = _run_cells(cells, out_dir)
-    rows = []
-    for _label, cfg, fields, analysed in results:
-        row = {"lc": cfg.control.tc, **_resultant_columns(analysed)}
-        # winding on the brightest ring, not on the pinned one
-        for name, key in (("omega_fp", "fp"), ("omega_fs", "fs")):
-            ring = analysed[name][0]["ring_radius"]
-            row[f"ring_{key}"] = ring
-            if ring != "":
-                row[f"winding_{key}"] = _metric_or_blank(
-                    lambda: analysis.winding_number(fields[name], ring)
-                )
-        rows.append(row)
     columns = (
         "lc",
         "radius",
@@ -212,7 +154,8 @@ def _fig6(out_dir) -> dict:
         "ring_fs",
     )
     notes = "petal interference for control charges 2..4, unit probes, d = 4"
-    return _write_table(out_dir, cells, {"figure": "fig6", "notes": notes}, rows, columns, written)
+    payload = {"figure": "fig6", "notes": notes}
+    return _sweep(base, "lc", CHARGE_SWEEP_PETALS, out_dir, payload, columns, _figure_rows)
 
 
 _FIGURES = {"fig3": _fig3, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6}
@@ -223,8 +166,6 @@ def reproduce_figure(fig_id: str, out_dir) -> dict:
     """Run one preset into out_dir; returns the manifest payload."""
     if fig_id not in _FIGURES:
         raise InvalidConfigError(f"unknown figure id {fig_id!r}, expected one of {FIGURE_IDS}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     return _FIGURES[fig_id](out_dir)
 
 
@@ -261,6 +202,38 @@ def _sweep_cells(cfg: RunConfig, param: str, values) -> list[tuple[str, RunConfi
     return [(label, _sweep_cell(cfg, param, v)) for label, v in labels.items()]
 
 
+def _sweep(cfg: RunConfig, param: str, values, out_dir, payload, columns, rows_of):
+    """Run cfg across the values of param, cells in parallel, into out_dir/<label>.
+
+    The top metrics.csv holds rows_of(analyse result) of each cell, led by
+    its value; the manifest lists it and every cell file.
+    """
+    cells = _sweep_cells(cfg, param, values)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def work(cell):
+        label, cell_cfg = cell
+        validate_config(cell_cfg)
+        fields = compute_fields(cell_cfg)
+        analysed = analyse(cell_cfg, fields)
+        cell_dir = out_dir / label
+        manifest = write_products(cell_cfg, cell_dir, fields, analysed)
+        written = [cell_dir / e["path"] for e in manifest["files"]] + [cell_dir / "manifest.json"]
+        return analysed, written
+
+    done = map_items(work, cells)
+    rows = [{param: v, **row} for (cell, _), v in zip(done, values) for row in rows_of(cell)]
+    table = out_dir / "metrics.csv"
+    write_metrics_csv(rows, columns, table)
+    payload = {**payload, "cells": [label for label, _ in cells]}
+    return write_manifest(out_dir, payload, [*(p for _, paths in done for p in paths), table])
+
+
+def _field_rows(analysed):
+    return (row for row, _profile in analysed.values())
+
+
 def run_sweep(cfg: RunConfig, param: str, values, out_dir) -> dict:
     """Re-run one base config across a parameter axis.
 
@@ -270,12 +243,6 @@ def run_sweep(cfg: RunConfig, param: str, values, out_dir) -> dict:
     metrics table (one row per output field, long format).
     """
     values = [float(v) for v in values]
-    cells = _sweep_cells(cfg, param, values)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results, written = _run_cells(cells, out_dir)
-    rows = []
-    for (_label, _cfg, _fields, analysed), value in zip(results, values):
-        rows.extend({param: value, **row} for row, _profile in analysed.values())
     payload = {"sweep": {"param": param, "values": values}}
-    return _write_table(out_dir, cells, payload, rows, (param,) + METRIC_COLUMNS, written)
+    columns = (param,) + METRIC_COLUMNS
+    return _sweep(cfg, param, values, out_dir, payload, columns, _field_rows)

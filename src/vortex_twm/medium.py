@@ -34,7 +34,6 @@ __all__ = [
     "y_factor",
     "beta_factor",
     "steady_coherences",
-    "steady_decomposition",
     "evolve_coherences",
     "rk4_power",
 ]
@@ -116,7 +115,7 @@ def steady_coherences(p: MediumParams, control, probe_p_total, probe_s_total) ->
 
     The cross terms pair each coherence with the opposite-frequency drive
     through one control photon; this is the pairing required by the 2x2
-    solve (see steady_decomposition for the split).
+    solve.
     """
     y = _checked_y(p, control)
     rho31 = (0.5j * p.gamma21 * probe_s_total - 0.25 * control * probe_p_total) / y
@@ -125,27 +124,6 @@ def steady_coherences(p: MediumParams, control, probe_p_total, probe_s_total) ->
         - 0.25 * np.conj(control) * probe_s_total
     ) / y
     return CoherencePair(rho31=rho31, rho21=rho21)
-
-
-def steady_decomposition(p: MediumParams, control, probe_p_total, probe_s_total):
-    """Split each steady coherence into direct-drive and mixing parts.
-
-    Returns (direct, mixing) where direct holds the first-order response of
-    each transition to its own drive and mixing holds the second-order term
-    carrying one control photon: the rho31 mixing term is proportional to
-    control * probe_p_total and the rho21 one to conj(control) *
-    probe_s_total.  direct + mixing equals steady_coherences exactly.
-    """
-    y = _checked_y(p, control)
-    direct = CoherencePair(
-        rho31=0.5j * p.gamma21 * probe_s_total / y,
-        rho21=0.5j * (p.gamma31 + 1j * p.delta) * probe_p_total / y,
-    )
-    mixing = CoherencePair(
-        rho31=-0.25 * control * probe_p_total / y,
-        rho21=-0.25 * np.conj(control) * probe_s_total / y,
-    )
-    return direct, mixing
 
 
 def rk4_power(a, h: float, steps: int) -> np.ndarray:

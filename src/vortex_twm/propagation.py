@@ -41,7 +41,6 @@ __all__ = [
     "solve_channel_p",
     "integrate_channel_numeric",
     "output_fields",
-    "resultant_at",
 ]
 
 # below this the direct sin(beta x)/beta quotient loses accuracy to 0/0
@@ -169,6 +168,22 @@ def _shared_grid(*fields: ComplexField):
     return grid
 
 
+def _exit_faces(p: MediumParams, control, probe_p, probe_s) -> dict:
+    """The six output fields from the three input fields at the same points."""
+    # both channels travel the full length, so they share one factor pair
+    factors = _channel_factors(p, control, p.length)
+    s = _channel_state(p, "s", control, probe_s, factors, p.length)
+    q = _channel_state(p, "p", control, probe_p, factors, p.length)
+    return {
+        "omega_d": probe_p + s.generated,
+        "omega_u": probe_s + q.generated,
+        "omega_fp": s.generated,
+        "omega_fs": q.generated,
+        "omega_s": s.primary,
+        "omega_p": q.primary,
+    }
+
+
 def output_fields(
     p: MediumParams,
     control_field: ComplexField,
@@ -186,43 +201,17 @@ def output_fields(
 
     omega_fp, omega_fs, omega_s and omega_p are the propagated constituents
     at their exit faces, the generated fields and the transmitted probes.
+    Propagation is per pixel, so each output's at applies the same formula
+    to its inputs' at; an output has no at when an input has none.
     """
-    grid = _shared_grid(control_field, probe_p, probe_s)
-    control = control_field.values
-    # both channels travel the full length, so they share one factor pair
-    factors = _channel_factors(p, control, p.length)
-    s = _channel_state(p, "s", control, probe_s.values, factors, p.length)
-    q = _channel_state(p, "p", control, probe_p.values, factors, p.length)
-    values = {
-        "omega_d": probe_p.values + s.generated,
-        "omega_u": probe_s.values + q.generated,
-        "omega_fp": s.generated,
-        "omega_fs": q.generated,
-        "omega_s": s.primary,
-        "omega_p": q.primary,
-    }
-    return {name: ComplexField(grid, v) for name, v in values.items()}
+    inputs = (control_field, probe_p, probe_s)
+    grid = _shared_grid(*inputs)
+    values = _exit_faces(p, *(f.values for f in inputs))
+    ats = tuple(f.at for f in inputs)
 
+    def evaluator(name):
+        if any(at is None for at in ats):
+            return None
+        return lambda r, theta: _exit_faces(p, *(at(r, theta) for at in ats))[name]
 
-def resultant_at(
-    p: MediumParams,
-    control_field: ComplexField,
-    probe_p: ComplexField,
-    probe_s: ComplexField,
-    z: float,
-):
-    """Resultant superpositions at an interior laboratory plane z.
-
-    omega_d(z) pairs the p-probe at travel z with the generated
-    difference-frequency field at travel L - z, and omega_u(z) the mirror
-    composition.  At z = 0 and z = L these reduce to the face outputs.
-    Interior planes are exposed for inspection; only the faces carry the
-    measurement claims.
-    """
-    z = _check_z(p, z)
-    grid = _shared_grid(control_field, probe_p, probe_s)
-    s_state = solve_channel_s(p, control_field.values, probe_s.values, p.length - z)
-    p_state = solve_channel_p(p, control_field.values, probe_p.values, z)
-    omega_d = ComplexField(grid, p_state.primary + s_state.generated)
-    omega_u = ComplexField(grid, s_state.primary + p_state.generated)
-    return omega_d, omega_u
+    return {name: ComplexField(grid, v, evaluator(name)) for name, v in values.items()}

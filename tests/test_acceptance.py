@@ -48,8 +48,7 @@ CONTROL_EPS = 4.0
 
 
 def _node_radius(n, target):
-    # Pin the sampling ring to a grid node column so the cardinal-axis
-    # ring samples are interpolation-exact on an odd grid.
+    # The figure presets' ring: target snapped to a whole number of grid steps.
     step = 2.0 * EXTENT / (n - 1)
     return step * round(target / step)
 
@@ -261,9 +260,17 @@ def test_criterion_09_property_suites():
 # --------------------------------------------------------------- C10
 
 
-def _cli(args, env, timeout=300):
+# the CLI with os.cpu_count patched, which sizes the cell thread pool
+_CLI_ON_CPUS = (
+    "import os, sys; os.cpu_count = lambda: {cpus}; "
+    "from vortex_twm import cli; sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
+def _cli(args, env, timeout=300, cpus=None):
+    entry = ["-m", "vortex_twm"] if cpus is None else ["-c", _CLI_ON_CPUS.format(cpus=cpus)]
     return subprocess.run(
-        [sys.executable, "-m", "vortex_twm", *args],
+        [sys.executable, *entry, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -283,11 +290,9 @@ def test_criterion_10_determinism(tmp_path):
     """Repeated figure runs are byte-identical regardless of worker
     count, and the fast self-check passes quickly."""
     trees = []
-    for label, threads in (("a", "2"), ("b", "1")):
+    for label, cpus in (("a", 2), ("b", 1)):
         out = tmp_path / label
-        env = dict(os.environ)
-        env["VORTEX_TWM_THREADS"] = threads
-        res = _cli(["figure", "fig4", "--out", str(out)], env)
+        res = _cli(["figure", "fig4", "--out", str(out)], dict(os.environ), cpus=cpus)
         assert res.returncode == 0, res.stderr
         trees.append(_tree_bytes(out))
     assert trees[0].keys() == trees[1].keys()

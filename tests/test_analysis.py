@@ -13,19 +13,27 @@ from vortex_twm.analysis import (
     winding_number,
 )
 from vortex_twm.beams import ComplexField, LGBeamSpec, make_grid, sample_lg
+from vortex_twm.config import default_config
 from vortex_twm.errors import (
     AmplitudeFloorError,
     InvalidConfigError,
+    NoClosedFormError,
     OutOfGridError,
     StructurelessProfileError,
     ZeroFieldError,
 )
+from vortex_twm.runner import field_metrics
 
 GRID = make_grid(257, 3.0)
 
 
 def _lg(tc, epsilon=1.0, grid=GRID):
     return sample_lg(LGBeamSpec(epsilon, tc), grid)
+
+
+def _constant(value):
+    """Evaluator of a field that is value at every point."""
+    return lambda r, theta: np.full(np.broadcast(r, theta).shape, value, dtype=complex)
 
 
 def _uniform_profile(level=1.0, m=DEFAULT_M):
@@ -46,7 +54,7 @@ def test_winding_at_explicit_radius():
 
 def test_conjugation_flips_winding():
     f = _lg(3)
-    flipped = ComplexField(GRID, np.conj(f.values))
+    flipped = ComplexField(GRID, np.conj(f.values), lambda r, theta: np.conj(f.at(r, theta)))
     assert winding_number(flipped) == -3
 
 
@@ -62,7 +70,8 @@ def test_winding_coarse_sampling_still_exact():
 def test_winding_scale_invariant(mag, phase):
     g = make_grid(65, 3.0)
     base = sample_lg(LGBeamSpec(1.0, 2), g)
-    scaled = ComplexField(g, mag * np.exp(1j * phase) * base.values)
+    scale = mag * np.exp(1j * phase)
+    scaled = ComplexField(g, scale * base.values, lambda r, theta: scale * base.at(r, theta))
     assert winding_number(scaled, radius=1.0, m=180) == 2
 
 
@@ -73,7 +82,7 @@ def test_winding_amplitude_floor_on_nulled_ring():
 
 
 def test_winding_zero_field():
-    zero = ComplexField(GRID, np.zeros((GRID.n, GRID.n)))
+    zero = ComplexField(GRID, np.zeros((GRID.n, GRID.n)), _constant(0.0))
     with pytest.raises(AmplitudeFloorError):
         winding_number(zero, radius=1.0)
     with pytest.raises(ZeroFieldError):
@@ -82,7 +91,7 @@ def test_winding_zero_field():
 
 def test_profile_of_uniform_field_is_constant():
     g = make_grid(64, 3.0)
-    f = ComplexField(g, np.full((64, 64), 0.7 - 0.2j))
+    f = ComplexField(g, np.full((64, 64), 0.7 - 0.2j), _constant(0.7 - 0.2j))
     prof = azimuthal_profile(f, 1.3)
     assert prof.intensities == pytest.approx(np.full(DEFAULT_M, abs(0.7 - 0.2j) ** 2), rel=1e-12)
     assert petal_count(prof) == 0
@@ -114,10 +123,13 @@ def test_profile_radius_validated():
 
 def test_painted_three_petal_ring_round_trip():
     # intensity 1 + cos(3 theta) painted as an amplitude pattern; profile
-    # sampling must give it back within bilinear interpolation error
+    # sampling must give it back
     g = make_grid(513, 3.0)
-    amp = np.sqrt(1.0 + np.cos(3.0 * g.theta))
-    f = ComplexField(g, amp)
+
+    def painted(r, theta):
+        return np.broadcast_to(np.sqrt(1.0 + np.cos(3.0 * theta)), np.broadcast(r, theta).shape)
+
+    f = ComplexField(g, painted(g.r, g.theta), painted)
     prof = azimuthal_profile(f, 1.5)
     expect = 1.0 + np.cos(3.0 * prof.thetas)
     assert np.max(np.abs(prof.intensities - expect)) <= 1e-3
@@ -147,7 +159,7 @@ def test_petal_count_rotation_invariant():
         assert petal_count(prof) == 4
 
 
-def test_peak_angle_quadratic_refinement():
+def test_peak_angle_between_samples():
     thetas = 2.0 * np.pi * np.arange(DEFAULT_M) / DEFAULT_M
     prof = AzimuthalProfile(1.0, thetas, 1.0 + np.cos(thetas - 1.0))
     assert abs(peak_angle(prof) - 1.0) <= 2.0 * np.pi / DEFAULT_M
@@ -168,10 +180,12 @@ def test_peak_angle_just_below_zero_folds_to_zero():
     intens[0] = 2.0
     intens[-1] = np.nextafter(1.0, 2.0)  # left neighbour brighter by one ulp
     prof = AzimuthalProfile(1.0, 2.0 * np.pi * np.arange(m) / m, intens)
-    # the refined peak sits a hair below 0, where `% 2pi` rounds up to 2pi
-    offset = 0.5 * (intens[-1] - intens[1]) / (intens[-1] - 2.0 * intens[0] + intens[1])
-    assert -1e-15 < offset < 0.0
-    assert (2.0 * np.pi * offset / m) % (2.0 * np.pi) == 2.0 * np.pi
+    # the first harmonic dominates and its crest sits a hair below 0,
+    # where `% 2pi` rounds up to 2pi
+    assert petal_count(prof) == 1
+    crest = -np.angle(np.fft.rfft(intens)[1])
+    assert -1e-15 < crest < 0.0
+    assert crest % (2.0 * np.pi) == 2.0 * np.pi
     assert peak_angle(prof) == 0.0
 
 
@@ -201,9 +215,34 @@ def test_ring_radius_waist_scales():
 
 def test_ring_radius_zero_field():
     with pytest.raises(ZeroFieldError):
-        ring_radius(ComplexField(GRID, np.zeros((GRID.n, GRID.n))))
+        ring_radius(ComplexField(GRID, np.zeros((GRID.n, GRID.n)), _constant(0.0)))
 
 
 def test_winding_radius_default_matches_explicit():
     f = _lg(2)
     assert winding_number(f) == winding_number(f, radius=ring_radius(f))
+
+
+@pytest.mark.parametrize("n", [256, 257])
+@pytest.mark.parametrize("tc", [1, 3])
+def test_ring_uniform_lg_has_no_petals(n, tc):
+    f = _lg(tc, grid=make_grid(n, 3.0))
+    for radius in (ring_radius(f), 0.5, 1.7):
+        prof = azimuthal_profile(f, radius)
+        assert petal_count(prof) == 0
+        with pytest.raises(StructurelessProfileError):
+            peak_angle(prof)
+
+
+def test_field_without_closed_form_is_not_interpolated():
+    bare = ComplexField(GRID, _lg(2).values)
+    for read in (ring_radius, winding_number, lambda f: azimuthal_profile(f, 1.0)):
+        with pytest.raises(NoClosedFormError, match="no closed form"):
+            read(bare)
+    cfg = default_config()
+    for radius in (None, 1.0):
+        cfg.ring_radius = radius
+        row, profile = field_metrics("omega_fs", bare, cfg)
+        assert profile is None
+        assert row["ring_radius"] == row["winding"] == row["petal_count"] == row["peak_angle"] == ""
+        assert row["radius"] == ("" if radius is None else radius)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import threading
@@ -307,6 +308,32 @@ def test_cli_profile_without_ring_fails(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["auto", 1.0])
+def test_cli_fields_blank_where_the_ring_needs_the_axis(tmp_path, capsys, radius):
+    # zero decays with a charged control make Y = 0 on the axis: an even
+    # grid never samples it, but the brightest-ring scan starts there
+    doc = _small_doc(
+        medium={"gamma31": 0.0, "gamma21": 0.0, "d": 8.0},
+        probe_p={"epsilon": 0.005, "tc": 1},
+        probe_s={"epsilon": 0.005, "tc": 1},
+        analysis={"radius": radius, "m": 720},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(_write_doc(tmp_path, doc)), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = {row["field"]: row for row in csv.DictReader(fh)}
+    for row in rows.values():
+        assert row["ring_radius"] == ""
+        if radius == "auto":
+            assert row["radius"] == row["winding"] == row["petal_count"] == row["peak_angle"] == ""
+        else:
+            assert row["radius"] == "1" and row["winding"] != ""
+    if radius != "auto":
+        # the generated fields are single harmonics: ring-uniform, no petals
+        assert rows["omega_fp"]["petal_count"] == rows["omega_fs"]["petal_count"] == "0"
 
 
 def test_cli_verify_fast_passes(capsys):

@@ -11,14 +11,17 @@ from vortex_twm import analysis
 from vortex_twm.config import load_config, parse_config
 from vortex_twm.errors import InvalidConfigError
 from vortex_twm.figures import (
+    CRESCENT_DEPTH,
     DETUNING_SWEEP,
     FIGURE_IDS,
     SWEEP_PARAMS,
+    _interference_base,
     _pinned_radius,
+    _sweep_cells,
     reproduce_figure,
     run_sweep,
 )
-from vortex_twm.runner import run_config
+from vortex_twm.runner import analyse, compute_fields, run_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -191,3 +194,36 @@ def test_sweep_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
         # the sweep manifest lists every file of the tree but itself
         assert [e["path"] for e in manifest["files"]] == sorted(set(trees[-1]) - {"manifest.json"})
     assert trees[0] == trees[1]
+
+
+CONTROL_AMPLITUDES = (0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 12.0, 16.0, 32.0)
+
+
+def _crescent_peaks(depth, delta):
+    """(peak_d, peak_u) of the fig4 cell at each control amplitude, on a coarse grid."""
+    base = replace(_interference_base(depth, ("metrics",)), grid_n=33)
+    base = replace(base, medium=replace(base.medium, delta=delta))
+    peaks = []
+    for _label, cfg in _sweep_cells(base, "amp", CONTROL_AMPLITUDES):
+        analysed = analyse(cfg, compute_fields(cfg))
+        peaks.append(tuple(analysed[name][0]["peak_angle"] for name in ("omega_d", "omega_u")))
+    return peaks
+
+
+@pytest.mark.parametrize("depth", [CRESCENT_DEPTH, 30.0])
+def test_control_intensity_turns_crescents(depth):
+    """The control amplitude turns the two crescents in opposite senses;
+    on resonance it can only flip them by pi, between pi/2 and 3 pi/2."""
+    for delta in (0.0, 3.0):
+        peaks = _crescent_peaks(depth, delta)
+        for peak_d, peak_u in peaks:
+            total = (peak_d + peak_u) % (2.0 * math.pi)
+            assert min(total, 2.0 * math.pi - total) <= 1e-9, (delta, peak_d, peak_u)
+        if delta != 0.0:
+            continue
+        for peak in (p for pair in peaks for p in pair):
+            assert min(abs(peak - math.pi / 2.0), abs(peak - 1.5 * math.pi)) <= 1e-9, peak
+        orientation = [peak_d < math.pi for peak_d, _peak_u in peaks]
+        flips = sum(a != b for a, b in zip(orientation, orientation[1:]))
+        # d = 8 holds the orientation for every amplitude; d = 30 swaps it back and forth
+        assert flips == 0 if depth == CRESCENT_DEPTH else flips >= 2, orientation

@@ -12,7 +12,6 @@ from vortex_twm.medium import (
     beta_factor,
     evolve_coherences,
     steady_coherences,
-    steady_decomposition,
     y_factor,
 )
 
@@ -98,19 +97,6 @@ def test_steady_matches_direct_linear_solve(gamma21, delta, amp, phi):
     sol = np.linalg.solve(a, [-0.5j * ps, -0.5j * pp])
     assert pair.rho31 == pytest.approx(sol[0], rel=1e-12, abs=1e-15)
     assert pair.rho21 == pytest.approx(sol[1], rel=1e-12, abs=1e-15)
-
-
-def test_decomposition_sums_to_total():
-    p = MediumParams(1.0, 0.3, -4.0, 1.0)
-    c = 2.0 - 1.0j
-    pp, ps = 0.01, 0.02j
-    direct, mixing = steady_decomposition(p, c, pp, ps)
-    total = steady_coherences(p, c, pp, ps)
-    assert direct.rho31 + mixing.rho31 == pytest.approx(total.rho31, rel=1e-14)
-    assert direct.rho21 + mixing.rho21 == pytest.approx(total.rho21, rel=1e-14)
-    # the cross terms each carry one control photon against the opposite probe
-    assert mixing.rho31 == pytest.approx(-0.25 * c * pp / y_factor(p, c), rel=1e-14)
-    assert mixing.rho21 == pytest.approx(-0.25 * np.conj(c) * ps / y_factor(p, c), rel=1e-14)
 
 
 def test_evolve_pure_decay():

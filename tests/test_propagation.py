@@ -16,7 +16,6 @@ from vortex_twm.propagation import (
     ChannelState,
     integrate_channel_numeric,
     output_fields,
-    resultant_at,
     solve_channel_p,
     solve_channel_s,
 )
@@ -212,10 +211,26 @@ def test_output_fields_zero_control_passthrough():
     g = make_grid(32, 3.0)
     probe_p = sample_lg(LGBeamSpec(0.004, 1), g)
     probe_s = sample_lg(LGBeamSpec(0.003, 0), g)
-    zero = ComplexField(g, np.zeros((32, 32)))
+
+    def dark(r, theta):
+        return np.zeros(np.broadcast(r, theta).shape)
+
+    zero = ComplexField(g, np.zeros((32, 32)), dark)
     out = output_fields(CANON, zero, probe_p, probe_s)
     assert np.array_equal(out["omega_d"].values, probe_p.values)
     assert np.array_equal(out["omega_u"].values, probe_s.values)
+    r, theta = 0.7, np.linspace(0.0, 6.0, 7)
+    assert np.array_equal(out["omega_d"].at(r, theta), probe_p.at(r, theta))
+    assert np.array_equal(out["omega_u"].at(r, theta), probe_s.at(r, theta))
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_values_are_the_closed_form_on_the_grid(n):
+    g = make_grid(n, 3.0)
+    inputs = [sample_lg(LGBeamSpec(eps, tc), g) for eps, tc in ((4.0, 2), (0.005, 1), (0.003, 0))]
+    out = output_fields(MediumParams(1.0, 0.05, 1.5, 8.0), *inputs)
+    for f in [*inputs, *out.values()]:
+        assert np.array_equal(f.values, f.at(g.r, g.theta))
 
 
 def test_output_fields_composition_identities():
@@ -236,20 +251,6 @@ def test_output_fields_grid_mismatch():
     ps = sample_lg(LGBeamSpec(0.005, 0), g1)
     with pytest.raises(GridMismatchError):
         output_fields(CANON, ctrl, pp, ps)
-
-
-def test_resultant_reduces_to_faces():
-    g = make_grid(32, 3.0)
-    ctrl = sample_lg(LGBeamSpec(4.0, 1), g)
-    probe = sample_lg(LGBeamSpec(0.005, 1), g)
-    out = output_fields(CANON, ctrl, probe, probe)
-    d0, u0 = resultant_at(CANON, ctrl, probe, probe, 0.0)
-    dl, ul = resultant_at(CANON, ctrl, probe, probe, 1.0)
-    assert np.allclose(d0.values, out["omega_d"].values, rtol=0, atol=1e-18)
-    assert np.allclose(ul.values, out["omega_u"].values, rtol=0, atol=1e-18)
-    # at the opposite faces the resultants are the transmitted primaries
-    assert np.allclose(dl.values, out["omega_p"].values, rtol=0, atol=1e-18)
-    assert np.allclose(u0.values, out["omega_s"].values, rtol=0, atol=1e-18)
 
 
 def test_probe_scaling_scales_outputs():
