@@ -146,9 +146,11 @@ def ring_radius(field: ComplexField, m: int = DEFAULT_M) -> float:
     each sampled at m angles.  Ties resolve to the smallest radius
     (deterministic argmax).
     """
+    g = field.grid
+    if g.n < 2:
+        raise OutOfGridError(f"a single-sample grid (n={g.n}) has no rings to scan")
     if float(np.max(np.abs(field.values))) == 0.0:
         raise ZeroFieldError("ring radius undefined for an all-zero field")
-    g = field.grid
     radii = np.arange(0.0, g.extent + 0.25 * g.step, 0.5 * g.step)
     _, vals = _ring(field, radii[:, None], m)
     means = (np.abs(vals) ** 2).mean(axis=1)

@@ -36,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InvalidConfigError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        for name, value in vars(parsed).items():
+            # argparse drops a "--" given as a value (--values=--) and leaves []
+            if isinstance(value, list):
+                self.error(f"argument {name}: '--' is not a value")
+        return parsed
+
 
 def _parse_values(raw: str) -> list[float]:
     items = [piece.strip() for piece in raw.split(",") if piece.strip()]
@@ -151,6 +159,8 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         return args.handler(args)
+    except SystemExit as exc:  # -h/--help printed its text
+        return exc.code
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

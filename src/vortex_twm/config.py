@@ -138,7 +138,10 @@ def _number(sec: dict, path: str, key: str, default=None, required: bool = False
     val = _get(sec, path, key, default, required)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise InvalidConfigError(f"'{path}.{key}' must be a number, got {val!r}")
-    return float(val)
+    try:
+        return float(val)
+    except OverflowError:  # a JSON integer beyond the largest double
+        raise InvalidConfigError(f"'{path}.{key}' exceeds the float range") from None
 
 
 def _integer(sec: dict, path: str, key: str, default=None, required: bool = False) -> int:
@@ -179,7 +182,7 @@ def parse_config(doc: dict) -> RunConfig:
     if radius_raw == "auto":
         radius = None
     elif isinstance(radius_raw, (int, float)) and not isinstance(radius_raw, bool):
-        radius = float(radius_raw)
+        radius = _number(analysis, "analysis", "radius")
     else:
         raise InvalidConfigError(f"'analysis.radius' must be 'auto' or a number, got {radius_raw!r}")
 
@@ -205,7 +208,9 @@ def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # malformed JSON, bytes that are not UTF-8, an integer literal over
+            # Python's digit limit, or nesting deeper than the recursion limit
             raise InvalidConfigError(f"config is not valid JSON: {exc}") from None
     return parse_config(doc)
 

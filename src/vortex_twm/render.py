@@ -7,65 +7,33 @@ has no ties-toward-zero ambiguity).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .analysis import AzimuthalProfile
+from .analysis import AMPLITUDE_FLOOR, AzimuthalProfile
 from .beams import ComplexField
-from .errors import InvalidConfigError
 
 __all__ = [
-    "ImageSpec",
     "write_intensity_pgm",
     "write_phase_ppm",
     "write_field_csv",
     "write_profile_csv",
-    "read_field_csv",
 ]
 
-PHASE_BLACK_FLOOR = 1e-12  # fraction of max amplitude below which phase renders black
 
-
-@dataclass(frozen=True)
-class ImageSpec:
-    """Intensity normalization and display gamma.
-
-    fixed_scale = None selects per-image-max normalization; a positive
-    value pins the white point for cross-panel comparison.
-    """
-
-    fixed_scale: float | None = None
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if self.fixed_scale is not None and not (
-            np.isfinite(self.fixed_scale) and self.fixed_scale > 0
-        ):
-            raise InvalidConfigError(f"image fixed_scale must be > 0, got {self.fixed_scale!r}")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise InvalidConfigError(f"image gamma must be > 0, got {self.gamma!r}")
-
-
-def _flip_rows(img: np.ndarray) -> np.ndarray:
-    # file rows run top to bottom, grid rows run with ascending y
-    return img[::-1]
-
-
-def write_intensity_pgm(field: ComplexField, spec: ImageSpec, path) -> None:
-    """Binary PGM (P5, maxval 255) of |field|^2 under the given ImageSpec."""
-    inten = np.abs(field.values) ** 2
-    ref = float(inten.max()) if spec.fixed_scale is None else spec.fixed_scale
-    if ref == 0.0:
-        pixels = np.zeros(inten.shape, dtype=np.uint8)
-    else:
-        ratio = np.clip(inten / ref, 0.0, 1.0) ** spec.gamma
-        pixels = np.floor(255.0 * ratio + 0.5).astype(np.uint8)
-    n = field.grid.n
-    header = f"P5\n{n} {n}\n255\n".encode("ascii")
+def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
+    """Binary PNM with maxval 255; file rows run top to bottom, grid rows with ascending y."""
+    n = pixels.shape[0]
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(_flip_rows(pixels).tobytes())
+        fh.write(f"{magic}\n{n} {n}\n255\n".encode("ascii"))
+        fh.write(pixels[::-1].tobytes())
+
+
+def write_intensity_pgm(field: ComplexField, path) -> None:
+    """Binary PGM (P5) of |field|^2 scaled to the image's own maximum; a zero field is black."""
+    inten = np.abs(field.values) ** 2
+    peak = float(inten.max())
+    ratio = inten / peak if peak > 0.0 else inten
+    _write_pnm(path, "P5", np.floor(255.0 * ratio + 0.5).astype(np.uint8))
 
 
 def _hue_to_rgb(hue: np.ndarray):
@@ -83,54 +51,33 @@ def _hue_to_rgb(hue: np.ndarray):
 
 
 def write_phase_ppm(field: ComplexField, path) -> None:
-    """Binary PPM (P6, maxval 255) phase map.
+    """Binary PPM (P6) phase map.
 
     hue = (arg + pi) / (2 pi) through the standard hue wheel; pixels whose
-    amplitude is below PHASE_BLACK_FLOOR of the field maximum are black
-    (phase there is numerically meaningless).
+    amplitude is below analysis.AMPLITUDE_FLOOR of the field maximum are
+    black (phase there is noise), and so is every pixel of a zero field.
     """
     amp = np.abs(field.values)
-    peak = float(amp.max())
     hue = (np.angle(field.values) + np.pi) / (2.0 * np.pi)
-    r, g, b = _hue_to_rgb(hue)
-    rgb = np.stack([r, g, b], axis=-1)
-    if peak == 0.0:
-        rgb[:] = 0.0
-    else:
-        rgb[amp < PHASE_BLACK_FLOOR * peak] = 0.0
-    pixels = np.floor(255.0 * rgb + 0.5).astype(np.uint8)
-    n = field.grid.n
-    header = f"P6\n{n} {n}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(_flip_rows(pixels).tobytes())
+    rgb = np.stack(_hue_to_rgb(hue), axis=-1)
+    rgb[(amp < AMPLITUDE_FLOOR * amp.max()) | (amp == 0.0)] = 0.0
+    _write_pnm(path, "P6", np.floor(255.0 * rgb + 0.5).astype(np.uint8))
+
+
+def _write_csv(path, header: str, columns) -> None:
+    # %.17g round-trips any finite double exactly
+    np.savetxt(
+        path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments=""
+    )
 
 
 def write_field_csv(field: ComplexField, path) -> None:
-    """Header "x,y,re,im", one row per pixel in row-major grid order.
-
-    Values carry 17 significant digits, enough to round-trip any finite
-    double exactly.
-    """
+    """Header "x,y,re,im", one row per pixel in row-major grid order."""
     v = field.values
-    cols = np.column_stack(
-        [
-            field.grid.x.ravel(),
-            field.grid.y.ravel(),
-            v.real.ravel(),
-            v.imag.ravel(),
-        ]
-    )
-    np.savetxt(path, cols, fmt="%.17g", delimiter=",", header="x,y,re,im", comments="")
-
-
-def read_field_csv(path):
-    """Inverse of write_field_csv: returns (x, y, values) flat arrays."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0], data[:, 1], data[:, 2] + 1j * data[:, 3]
+    cols = [field.grid.x.ravel(), field.grid.y.ravel(), v.real.ravel(), v.imag.ravel()]
+    _write_csv(path, "x,y,re,im", cols)
 
 
 def write_profile_csv(profile: AzimuthalProfile, path) -> None:
     """Header "theta,intensity", one row per azimuthal sample."""
-    cols = np.column_stack([profile.thetas, profile.intensities])
-    np.savetxt(path, cols, fmt="%.17g", delimiter=",", header="theta,intensity", comments="")
+    _write_csv(path, "theta,intensity", [profile.thetas, profile.intensities])

@@ -23,13 +23,7 @@ from .beams import ComplexField, make_grid, sample_lg
 from .config import RunConfig, config_to_dict, validate_config
 from .errors import VortexTwmError
 from .propagation import output_fields
-from .render import (
-    ImageSpec,
-    write_field_csv,
-    write_intensity_pgm,
-    write_phase_ppm,
-    write_profile_csv,
-)
+from .render import write_field_csv, write_intensity_pgm, write_phase_ppm, write_profile_csv
 
 __all__ = [
     "run_config",
@@ -175,9 +169,8 @@ def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField], ana
             write_field_csv(fld, target("fields", f"{name}.csv"))
 
     if "images" in cfg.outputs:
-        spec = ImageSpec()
         for name, fld in fields.items():
-            write_intensity_pgm(fld, spec, target("images", f"{name}_intensity.pgm"))
+            write_intensity_pgm(fld, target("images", f"{name}_intensity.pgm"))
             write_phase_ppm(fld, target("images", f"{name}_phase.ppm"))
 
     if analysed is None and {"profiles", "metrics"} & set(cfg.outputs):

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from vortex_twm.verify import (
     steady_kernel_error,
 )
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 EXTENT = 3.0
 PROBE_EPS = 0.005
 CONTROL_EPS = 4.0
@@ -269,6 +271,8 @@ _CLI_ON_CPUS = (
 
 def _cli(args, env, timeout=300, cpus=None):
     entry = ["-m", "vortex_twm"] if cpus is None else ["-c", _CLI_ON_CPUS.format(cpus=cpus)]
+    # the child imports the package from this checkout, installed or not
+    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, *entry, *args],
         env=env,

@@ -12,7 +12,7 @@ from vortex_twm.analysis import (
     ring_radius,
     winding_number,
 )
-from vortex_twm.beams import ComplexField, LGBeamSpec, make_grid, sample_lg
+from vortex_twm.beams import ComplexField, Grid2D, LGBeamSpec, make_grid, sample_lg
 from vortex_twm.config import default_config
 from vortex_twm.errors import (
     AmplitudeFloorError,
@@ -216,6 +216,15 @@ def test_ring_radius_waist_scales():
 def test_ring_radius_zero_field():
     with pytest.raises(ZeroFieldError):
         ring_radius(ComplexField(GRID, np.zeros((GRID.n, GRID.n)), _constant(0.0)))
+
+
+def test_single_sample_grid_has_no_ring_to_scan():
+    # Grid2D admits one sample per axis (make_grid does not); its scan step is 0
+    g = Grid2D(axis=np.array([0.0]), extent=0.0)
+    f = ComplexField(g, np.array([[1.0]]), _constant(1.0))
+    for read in (ring_radius, winding_number):
+        with pytest.raises(OutOfGridError, match="single-sample grid"):
+            read(f)
 
 
 def test_winding_radius_default_matches_explicit():

@@ -1,11 +1,16 @@
 import csv
 import dataclasses
 import json
+import os
+import tempfile
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vortex_twm import cli
 from vortex_twm._parallel import map_items
@@ -19,6 +24,7 @@ from vortex_twm.config import (
     validate_config,
 )
 from vortex_twm.errors import InvalidConfigError
+from vortex_twm.figures import FIGURE_IDS
 from vortex_twm.runner import file_sha256, run_config
 from vortex_twm.verify import SuiteResult
 
@@ -357,3 +363,170 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     assert cli.main(["verify", "--level", "fast"]) == 3
     err = capsys.readouterr().err
     assert "channel_oracle" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["fields", "-h"], 0),
+        (["verify", "--level=--"], 1),
+        (["sweep", "--param", "delta", "--values=--", "--config", "c.json", "--out", "o"], 1),
+    ],
+)
+def test_cli_help_and_lone_dashes_return_a_code(tmp_path, monkeypatch, argv, code):
+    # argparse exits on -h and turns a "--" value into []; main returns instead
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == code
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"\xff\xfe{",                                   # not UTF-8
+        b'{"grid": {"n": ' + b"9" * 5000 + b"}}",       # over Python's integer digit limit
+        b"[" * 100_000,                                 # deeper than the recursion limit
+        json.dumps(_small_doc(control={"epsilon": 10**400, "tc": 1})).encode(),
+        json.dumps(_small_doc(analysis={"radius": 10**400, "m": 720})).encode(),
+    ],
+    ids=["not_utf8", "long_integer", "deep_nesting", "epsilon_over_float", "radius_over_float"],
+)
+def test_cli_unreadable_config_exits_1(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(text)
+    assert cli.main(["fields", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+# ------------------------------------------------------------------ CLI fuzz
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(), max_size=2)
+)
+_ODD = st.sampled_from([0.0, -1.0, float("nan"), float("inf"), 1e308, 5e-324, 10**400])
+_RATE = st.one_of(st.floats(0.0, 50.0), _ODD, _JUNK)
+_EPS = st.one_of(st.floats(0.0, 10.0), _ODD, _JUNK)
+_VALID_DOC = _small_doc(
+    outputs=["fields", "images", "profiles", "metrics"], analysis={"radius": "auto", "m": 64}
+)
+_BEAM_KEYS = ("epsilon", "tc", "waist")
+_SECTION_KEYS = {
+    "medium": ("gamma31", "gamma21", "delta", "d", "length"),
+    "control": _BEAM_KEYS,
+    "probe_p": _BEAM_KEYS,
+    "probe_s": _BEAM_KEYS,
+    "grid": ("n", "extent"),
+    "analysis": ("radius", "m"),
+}
+# grid.n <= 64 and analysis.m <= 720, so no example samples a large array
+_KEY_VALUES = {
+    **{key: _RATE for key in _SECTION_KEYS["medium"]},
+    "epsilon": _EPS,
+    "tc": st.one_of(st.integers(-8, 8), st.just(10**30), _JUNK),
+    "waist": st.one_of(st.floats(0.0, 4.0), _ODD, _JUNK),
+    "n": st.one_of(st.integers(-2, 64), _JUNK),
+    "extent": st.one_of(st.floats(0.0, 8.0), _ODD, _JUNK),
+    "radius": st.one_of(st.just("auto"), st.floats(-1.0, 4.0), _ODD, _JUNK),
+    "m": st.one_of(st.integers(-1, 720), _JUNK),
+}
+_OUTPUTS = st.one_of(
+    st.lists(st.sampled_from(["fields", "images", "profiles", "metrics", "movie"]), max_size=4),
+    _JUNK,
+)
+
+
+@st.composite
+def _config_doc(draw):
+    """A small valid document with up to three keys or sections changed or removed."""
+    doc = json.loads(json.dumps(_VALID_DOC))
+    for _ in range(draw(st.integers(1, 3)) if draw(st.booleans()) else 0):
+        section = draw(st.sampled_from(sorted(_VALID_DOC)))
+        keys = _SECTION_KEYS.get(section)
+        if keys is None or not isinstance(doc.get(section), dict) or draw(st.integers(0, 3)) == 0:
+            # without a grid section n would default to 256, so grid is never removed
+            if section != "grid" and draw(st.booleans()):
+                doc.pop(section, None)
+            else:
+                doc[section] = draw(_OUTPUTS if section == "outputs" else _JUNK)
+            continue
+        key = draw(st.sampled_from(keys))
+        if key != "n" and draw(st.integers(0, 3)) == 0:
+            doc[section].pop(key, None)
+        else:
+            doc[section][key] = draw(_KEY_VALUES[key])
+    return doc
+
+
+# relative names only (no "/"), so a stray token lands in the example's own directory
+_TOKEN = st.one_of(
+    st.sampled_from(
+        ["-h", "--help", "--bogus", "--", "-", "--out", "--config", "--values", "--radius"]
+    ),
+    st.text(alphabet="abcdefgilpstuv0123456789-.,=_ ", max_size=6),
+).filter(lambda t: t not in ("..", "full", *FIGURE_IDS))
+_NUMBER_TEXT = st.one_of(st.floats(-10.0, 10.0).map(repr), st.integers(-4, 4).map(str), _TOKEN)
+_VALUES = st.one_of(st.lists(_NUMBER_TEXT, min_size=1, max_size=3).map(",".join), _TOKEN)
+
+
+@st.composite
+def _cli_argv(draw):
+    # half the examples keep a well-formed command line, so that the runs get fuzzed too
+    broken = draw(st.booleans())
+    config, out = "config.json", "out"
+    if broken:
+        config = draw(st.sampled_from(["config.json", "missing.json", "."]))
+        out = draw(st.sampled_from(["out", "config.json"]))  # an existing file is no directory
+    command = draw(st.sampled_from(["fields", "figure", "sweep", "profile", "verify"]))
+    if command == "fields":
+        argv = ["fields", "--config", config, "--out", out]
+    elif command == "figure":
+        # the presets run their own 256- and 257-point grids (test_figures)
+        argv = ["figure", draw(_TOKEN), "--out", out]
+    elif command == "sweep":
+        param = draw(st.sampled_from(["delta", "lc", "amp", "tc"]))
+        values = f"--values={draw(_VALUES)}"
+        argv = ["sweep", "--param", param, values, "--config", config, "--out", out]
+    elif command == "profile":
+        field = draw(st.sampled_from(["d", "u", "fp", "fs", "p", "s", "x"]))
+        radius = draw(st.one_of(st.just("auto"), _NUMBER_TEXT))
+        argv = ["profile", "--field", field, "--radius", radius, "--config", config, "--out", out]
+    else:
+        argv = ["verify", "--level", draw(st.one_of(st.just("fast"), _TOKEN))]
+    for _ in range(draw(st.integers(0, 2)) if broken else 0):
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()) and at < len(argv):
+            del argv[at]
+        else:
+            argv.insert(at, draw(_TOKEN))
+    return argv
+
+
+@given(
+    argv=_cli_argv(),
+    doc=st.one_of(_config_doc(), st.one_of(_JUNK, st.binary(max_size=8))),
+)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_cli_fuzz_exits_with_a_code(tmp_path, argv, doc):
+    """Any argv and any small config document: main returns 0, 1, 2 or 3
+    and raises nothing."""
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            config = Path("config.json")
+            if isinstance(doc, bytes):
+                config.write_bytes(doc)
+            else:
+                config.write_text(json.dumps(doc))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # weak-probe and numpy overflow advisories
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3), (argv, doc, code)

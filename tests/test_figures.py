@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vortex_twm import analysis
+from vortex_twm.beams import make_grid, sample_lg
 from vortex_twm.config import load_config, parse_config
 from vortex_twm.errors import InvalidConfigError
 from vortex_twm.figures import (
@@ -21,6 +22,7 @@ from vortex_twm.figures import (
     reproduce_figure,
     run_sweep,
 )
+from vortex_twm.propagation import integrate_channel_numeric
 from vortex_twm.runner import analyse, compute_fields, run_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -227,3 +229,28 @@ def test_control_intensity_turns_crescents(depth):
         flips = sum(a != b for a, b in zip(orientation, orientation[1:]))
         # d = 8 holds the orientation for every amplitude; d = 30 swaps it back and forth
         assert flips == 0 if depth == CRESCENT_DEPTH else flips >= 2, orientation
+
+
+@pytest.mark.parametrize(
+    "depth, flip_steps",
+    [(CRESCENT_DEPTH, set()), (30.0, {(2.0, 2.5), (2.5, 3.0), (4.0, 5.0), (8.0, 12.0)})],
+)
+def test_crescent_flips_are_sign_changes_of_the_rk4_oracle(depth, flip_steps):
+    """On resonance the generated p-channel field at a ring point is -i c b0
+    times a real factor, sin(beta x)/beta damped; the RK4 oracle, not the
+    closed form, finds its sign, and it changes exactly where peak_d flips."""
+    base = replace(_interference_base(depth, ("metrics",)), grid_n=33)
+    r, theta = np.array(base.ring_radius), np.array(0.0)
+    b0 = sample_lg(base.probe_p, make_grid(base.grid_n, base.grid_extent)).at(r, theta)
+    signs = []
+    for _label, cfg in _sweep_cells(base, "amp", CONTROL_AMPLITUDES):
+        c = sample_lg(cfg.control, make_grid(cfg.grid_n, cfg.grid_extent)).at(r, theta)
+        state = integrate_channel_numeric(cfg.medium, c, b0, "p", 1000)
+        factor = complex(state.generated / (-1j * c * b0))
+        assert abs(factor.imag) <= 1e-9 * abs(factor), (cfg.control.epsilon, factor)
+        signs.append(factor.real > 0.0)
+    orientation = [peak_d < math.pi for peak_d, _peak_u in _crescent_peaks(depth, 0.0)]
+    steps = list(zip(CONTROL_AMPLITUDES, CONTROL_AMPLITUDES[1:]))
+    sign_flips = {s for s, a, b in zip(steps, signs, signs[1:]) if a != b}
+    peak_flips = {s for s, a, b in zip(steps, orientation, orientation[1:]) if a != b}
+    assert sign_flips == peak_flips == flip_steps, (sign_flips, peak_flips)
