@@ -95,7 +95,7 @@ class ComplexField:
     at: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = np.ascontiguousarray(self.values, dtype=complex)
         if self.values.shape != (self.grid.n, self.grid.n):
             raise InvalidConfigError(
                 f"field shape {self.values.shape} does not match grid n={self.grid.n}"

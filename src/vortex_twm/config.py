@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 KNOWN_OUTPUTS = ("fields", "images", "profiles", "metrics")
+GRID_N_MAX = 4096  # one 4096^2 complex field is 256 MiB
+PROFILE_M_MAX = 65536
 
 
 class WeakProbeWarning(UserWarning):
@@ -87,6 +89,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise InvalidConfigError(
             f"grid.n = {cfg.grid_n} under-resolves charge {lmax} (need >= {need_n})"
         )
+    if cfg.grid_n > GRID_N_MAX:
+        raise InvalidConfigError(f"grid.n = {cfg.grid_n} exceeds the ceiling {GRID_N_MAX}")
     if not (math.isfinite(cfg.grid_extent) and cfg.grid_extent > 0):
         raise InvalidConfigError(f"grid.extent must be finite and positive, got {cfg.grid_extent!r}")
     waist = max(cfg.control.waist, cfg.probe_p.waist, cfg.probe_s.waist)
@@ -94,11 +98,20 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise InvalidConfigError(
             f"grid.extent = {cfg.grid_extent!r} does not reach the beam waist {waist!r}"
         )
+    step = 2.0 * cfg.grid_extent / (cfg.grid_n - 1)
+    finest = min(cfg.control.waist, cfg.probe_p.waist, cfg.probe_s.waist)
+    if step > finest:
+        raise InvalidConfigError(
+            f"grid step 2*extent/(n-1) = {step!r} does not resolve the beam waist {finest!r}"
+            " (raise grid.n or lower grid.extent)"
+        )
     need_m = cfg.ring_angles()
     if not isinstance(cfg.profile_m, int) or cfg.profile_m < need_m:
         raise InvalidConfigError(
             f"analysis.m = {cfg.profile_m!r} under-samples charge {lmax} (need >= {need_m})"
         )
+    if cfg.profile_m > PROFILE_M_MAX:
+        raise InvalidConfigError(f"analysis.m = {cfg.profile_m} exceeds the ceiling {PROFILE_M_MAX}")
     bad = [o for o in cfg.outputs if o not in KNOWN_OUTPUTS]
     if bad:
         raise InvalidConfigError(f"outputs contains unknown products {bad!r}")

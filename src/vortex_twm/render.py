@@ -64,20 +64,36 @@ def write_phase_ppm(field: ComplexField, path) -> None:
     _write_pnm(path, "P6", np.floor(255.0 * rgb + 0.5).astype(np.uint8))
 
 
-def _write_csv(path, header: str, columns) -> None:
-    # %.17g round-trips any finite double exactly
-    np.savetxt(
-        path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments=""
-    )
+_CELL = "%.17g"  # round-trips any finite double exactly
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Header line, then each (template, values) row as one `%` call, streamed."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header + "\n")
+        for template, values in rows:
+            fh.write(template % tuple(values))
 
 
 def write_field_csv(field: ComplexField, path) -> None:
-    """Header "x,y,re,im", one row per pixel in row-major grid order."""
-    v = field.values
-    cols = [field.grid.x.ravel(), field.grid.y.ravel(), v.real.ravel(), v.imag.ravel()]
-    _write_csv(path, "x,y,re,im", cols)
+    """Header "x,y,re,im", one row per pixel in row-major grid order.
+
+    Each axis value is formatted once; a grid row's x,y text is baked into
+    its template, which takes that row's interleaved re,im doubles.
+    """
+    axis = [_CELL % a for a in field.grid.axis.tolist()]
+    reim = field.values.view(np.float64)
+
+    def rows():
+        for y, row in zip(axis, reim):
+            sep = f",{y},{_CELL},{_CELL}\n"
+            yield sep.join(axis) + sep, row.tolist()
+
+    _write_csv(path, "x,y,re,im", rows())
 
 
 def write_profile_csv(profile: AzimuthalProfile, path) -> None:
     """Header "theta,intensity", one row per azimuthal sample."""
-    _write_csv(path, "theta,intensity", [profile.thetas, profile.intensities])
+    pairs = np.column_stack([profile.thetas, profile.intensities])
+    template = f"{_CELL},{_CELL}\n" * len(pairs)
+    _write_csv(path, "theta,intensity", [(template, pairs.ravel().tolist())])

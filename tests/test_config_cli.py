@@ -217,6 +217,45 @@ def test_cli_rejects_extent_inside_waist(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extent", [1e300, 1e308])
+def test_parse_rejects_unresolved_waist(extent):
+    # 2*extent/(n-1) must not exceed the smallest waist; 1e308 doubles to inf
+    with pytest.raises(InvalidConfigError, match="does not resolve the beam waist"):
+        parse_config(_small_doc(grid={"n": 32, "extent": extent}))
+    narrow = _small_doc(probe_s={"epsilon": 0.005, "tc": 0, "waist": 0.1})
+    with pytest.raises(InvalidConfigError, match="does not resolve the beam waist 0.1"):
+        parse_config(narrow)
+    narrow["grid"] = {"n": 61, "extent": 3.0}  # step exactly 0.1
+    assert parse_config(narrow).grid_n == 61
+
+
+def _cli_rejects(tmp_path, capsys, doc, message):
+    path = _write_doc(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_rejects_unresolved_waist(tmp_path, capsys):
+    doc = _small_doc(grid={"n": 32, "extent": 1e300})
+    _cli_rejects(tmp_path, capsys, doc, "does not resolve the beam waist")
+
+
+def test_cli_rejects_grid_n_over_ceiling(tmp_path, capsys):
+    doc = _small_doc(grid={"n": 200000, "extent": 3.0})
+    _cli_rejects(tmp_path, capsys, doc, "grid.n = 200000 exceeds the ceiling 4096")
+    assert parse_config(_small_doc(grid={"n": 4096, "extent": 3.0})).grid_n == 4096
+
+
+def test_cli_rejects_analysis_m_over_ceiling(tmp_path, capsys):
+    doc = _small_doc(analysis={"radius": "auto", "m": 65537})
+    _cli_rejects(tmp_path, capsys, doc, "analysis.m = 65537 exceeds the ceiling 65536")
+    assert parse_config(_small_doc(analysis={"radius": "auto", "m": 65536})).profile_m == 65536
+
+
 def test_cli_rejects_non_finite_extent(tmp_path, capsys):
     # json writes inf as Infinity, which json.load reads back
     path = _write_doc(tmp_path, _small_doc(grid={"n": 32, "extent": float("inf")}))

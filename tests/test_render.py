@@ -1,4 +1,8 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +14,10 @@ from vortex_twm.render import (
     write_profile_csv,
 )
 from vortex_twm.analysis import AMPLITUDE_FLOOR, azimuthal_profile
+from vortex_twm.config import load_config
+from vortex_twm.runner import compute_fields
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _field_2x2(values):
@@ -170,3 +178,83 @@ def test_writers_byte_deterministic(tmp_path):
         write_profile_csv(prof, pcsv)
         pairs.append(tuple(q.read_bytes() for q in (pgm, ppm, csv, pcsv)))
     assert pairs[0] == pairs[1]
+
+
+# ---------------------------------------------------------------- byte oracle
+# The writers' former np.savetxt call, kept as the reference for their bytes.
+
+
+def _savetxt(path, header, columns):
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments="")
+
+
+def _assert_field_matches_oracle(f, tmp_path, tag=""):
+    v = f.values
+    ref, got = tmp_path / f"ref{tag}.csv", tmp_path / f"got{tag}.csv"
+    _savetxt(ref, "x,y,re,im", [f.grid.x.ravel(), f.grid.y.ravel(), v.real.ravel(), v.imag.ravel()])
+    write_field_csv(f, got)
+    assert got.read_bytes() == ref.read_bytes()
+
+
+# -0.0, the smallest subnormal, +-1e300 and integers, which print without a point
+EDGE_VALUES = [-0.0, 5e-324, 1e300, -1e300, 1.0, -7.0, 2.0**53, 0.1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 257])
+def test_field_csv_matches_savetxt(tmp_path, n):
+    g = Grid2D(axis=np.array([0.0]), extent=0.0) if n == 1 else make_grid(n, 3.0)
+    rng = np.random.default_rng(n)
+    flat = rng.normal(size=2 * n * n) * 10.0 ** rng.integers(-20, 20, size=2 * n * n)
+    k = min(len(EDGE_VALUES), flat.size)
+    flat[:k] = EDGE_VALUES[:k]
+    flat[-k:] = EDGE_VALUES[::-1][:k]
+    vals = flat.view(complex).reshape(n, n).T  # values need not be C-contiguous
+    _assert_field_matches_oracle(ComplexField(g, vals), tmp_path)
+
+
+def test_field_csv_real_array_matches_savetxt(tmp_path):
+    g = make_grid(8, 2.0)
+    vals = np.arange(64, dtype=np.float64).reshape(8, 8) - 31.5
+    vals[0, 0] = -0.0
+    _assert_field_matches_oracle(ComplexField(g, vals), tmp_path)
+
+
+def test_field_csv_transfer_products_match_savetxt(tmp_path):
+    fields = compute_fields(load_config(CONFIGS / "transfer.json"))
+    assert len(fields) == 6
+    for name, f in fields.items():
+        _assert_field_matches_oracle(f, tmp_path, name)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # seed-unique filenames
+)
+def test_field_csv_matches_savetxt_random(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    g = make_grid(8, 2.0)
+    vals = rng.normal(size=(8, 8)) * 10.0 ** rng.integers(-12, 12) + 1j * rng.normal(size=(8, 8))
+    _assert_field_matches_oracle(ComplexField(g, vals), tmp_path, seed)
+
+
+@pytest.mark.parametrize("m", [32, 720])
+def test_profile_csv_matches_savetxt(tmp_path, m):
+    prof = azimuthal_profile(sample_lg(LGBeamSpec(1.0, 2), make_grid(64, 3.0)), 0.9, m=m)
+    ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
+    _savetxt(ref, "theta,intensity", [prof.thetas, prof.intensities])
+    write_profile_csv(prof, got)
+    assert got.read_bytes() == ref.read_bytes()
+
+
+def test_field_csv_streams_rows(tmp_path):
+    # a 256^2 CSV is ~5 MiB of text; writing row by row keeps Python memory far under it
+    f = sample_lg(LGBeamSpec(1.0, 1), make_grid(256, 3.0))
+    tracemalloc.start()
+    try:
+        write_field_csv(f, tmp_path / "stream.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
