@@ -4,7 +4,8 @@ One JSON document describes one run.  All rates are in units of the
 upper-transition decay rate; all lengths in waist multiples:
 
     {
-      "medium":  {"gamma31": 1.0, "gamma21": 0.05, "delta": 0.0, "d": 100.0},
+      "medium":  {"gamma31": 1.0, "gamma21": 0.05, "delta": 0.0, "d": 100.0,
+                  "length": 1.0},
       "control": {"epsilon": 4.0, "tc": 1, "waist": 1.0},
       "probe_p": {"epsilon": 0.005, "tc": 0, "waist": 1.0},
       "probe_s": {"epsilon": 0.005, "tc": 0, "waist": 1.0},
@@ -13,15 +14,20 @@ upper-transition decay rate; all lengths in waist multiples:
       "analysis": {"radius": "auto", "m": 720}
     }
 
-Validation errors name the offending field with its dotted path.
+Only medium (gamma31, gamma21, d) and the three beams (epsilon, tc) are
+required; every other key defaults as above.  The key set above is the
+whole set: a section or key outside it is an error naming its dotted
+path, so a typo never falls back to a default.  Validation errors name
+the offending field the same way.
 """
 from __future__ import annotations
 
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 
+from .analysis import DEFAULT_M
 from .beams import LGBeamSpec
 from .errors import InvalidConfigError
 from .medium import MediumParams
@@ -55,7 +61,7 @@ class RunConfig:
     grid_extent: float = 3.0
     outputs: tuple = KNOWN_OUTPUTS
     ring_radius: float | None = None  # None selects the automatic ring
-    profile_m: int = 720
+    profile_m: int = DEFAULT_M
 
     def max_charge(self) -> int:
         return max(abs(self.control.tc), abs(self.probe_p.tc), abs(self.probe_s.tc))
@@ -77,6 +83,27 @@ def default_config() -> RunConfig:
         probe_p=LGBeamSpec(epsilon=0.005, tc=0),
         probe_s=LGBeamSpec(epsilon=0.005, tc=0),
     )
+
+
+# The run document, declared once.  medium and each beam section hold the
+# fields of their dataclass; a grid or analysis key names a RunConfig
+# field.  A field's annotation text (_KINDS; these modules postpone
+# annotations) gives the key's type; its default, or else _DEFAULTS, the
+# value of an omitted key; a key with neither is required.
+_NESTED = dict(medium=MediumParams, control=LGBeamSpec, probe_p=LGBeamSpec, probe_s=LGBeamSpec)
+_RUN_KEYS = {
+    "grid": {"n": "grid_n", "extent": "grid_extent"},
+    "analysis": {"radius": "ring_radius", "m": "profile_m"},
+}
+_RUN_FIELDS = {f.name: f for f in fields(RunConfig)}
+_SECTIONS = {
+    **{name: {f.name: f for f in fields(cls)} for name, cls in _NESTED.items()},
+    **{name: {key: _RUN_FIELDS[attr] for key, attr in keys.items()}
+       for name, keys in _RUN_KEYS.items()},
+}
+# a default its dataclass cannot carry: delta is positional, before d
+_DEFAULTS = {("medium", "delta"): 0.0}
+_KINDS = {"int": "an integer", "float": "a number", "float | None": "'auto' or a number"}
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
@@ -131,90 +158,70 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def _section(doc: dict, key: str) -> dict:
-    if key not in doc:
-        raise InvalidConfigError(f"missing config section '{key}'")
-    if not isinstance(doc[key], dict):
-        raise InvalidConfigError(f"config section '{key}' must be an object")
-    return doc[key]
-
-
-def _get(sec: dict, path: str, key: str, default=None, required: bool = False):
-    if key in sec:
-        return sec[key]
-    if required:
-        raise InvalidConfigError(f"missing config value '{path}.{key}'")
-    return default
-
-
-def _number(sec: dict, path: str, key: str, default=None, required: bool = False) -> float:
-    val = _get(sec, path, key, default, required)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise InvalidConfigError(f"'{path}.{key}' must be a number, got {val!r}")
+def _value(path: str, val, kind: str):
+    """val read as a field annotated kind: int, float, or float | None ("auto")."""
+    if kind == "float | None" and val == "auto":
+        return None
+    if isinstance(val, bool) or not isinstance(val, int if kind == "int" else (int, float)):
+        raise InvalidConfigError(f"'{path}' must be {_KINDS[kind]}, got {val!r}")
     try:
-        return float(val)
+        return int(val) if kind == "int" else float(val)
     except OverflowError:  # a JSON integer beyond the largest double
-        raise InvalidConfigError(f"'{path}.{key}' exceeds the float range") from None
+        raise InvalidConfigError(f"'{path}' exceeds the float range") from None
 
 
-def _integer(sec: dict, path: str, key: str, default=None, required: bool = False) -> int:
-    val = _get(sec, path, key, default, required)
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise InvalidConfigError(f"'{path}.{key}' must be an integer, got {val!r}")
-    return int(val)
-
-
-def _beam(doc: dict, key: str) -> LGBeamSpec:
-    sec = _section(doc, key)
-    try:
-        return LGBeamSpec(
-            epsilon=_number(sec, key, "epsilon", required=True),
-            tc=_integer(sec, key, "tc", required=True),
-            waist=_number(sec, key, "waist", default=1.0),
-        )
-    except InvalidConfigError as exc:
-        raise InvalidConfigError(f"{key}: {exc}") from None
+def _section(doc: dict, name: str) -> dict:
+    """Section name of doc, each declared key read, else its field default."""
+    keyed = _SECTIONS[name]
+    if name not in doc and name in _NESTED:
+        raise InvalidConfigError(f"missing config section '{name}'")
+    sec = doc.get(name, {})
+    if not isinstance(sec, dict):
+        raise InvalidConfigError(f"config section '{name}' must be an object")
+    values = {}
+    for key, f in keyed.items():
+        if key in sec:
+            values[key] = _value(f"{name}.{key}", sec[key], f.type)
+        elif f.default is not MISSING:
+            values[key] = f.default
+        elif (name, key) in _DEFAULTS:
+            values[key] = _DEFAULTS[name, key]
+        else:
+            raise InvalidConfigError(f"missing config value '{name}.{key}'")
+    return values
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Build and validate a RunConfig from a parsed JSON document."""
     if not isinstance(doc, dict):
         raise InvalidConfigError("config document must be a JSON object")
-    med = _section(doc, "medium")
-    medium = MediumParams(
-        gamma31=_number(med, "medium", "gamma31", required=True),
-        gamma21=_number(med, "medium", "gamma21", required=True),
-        delta=_number(med, "medium", "delta", default=0.0),
-        d=_number(med, "medium", "d", required=True),
-        length=_number(med, "medium", "length", default=1.0),
-    )
-
-    grid = _section(doc, "grid") if "grid" in doc else {}
-    analysis = _section(doc, "analysis") if "analysis" in doc else {}
-    radius_raw = analysis.get("radius", "auto")
-    if radius_raw == "auto":
-        radius = None
-    elif isinstance(radius_raw, (int, float)) and not isinstance(radius_raw, bool):
-        radius = _number(analysis, "analysis", "radius")
-    else:
-        raise InvalidConfigError(f"'analysis.radius' must be 'auto' or a number, got {radius_raw!r}")
+    unknown = [name for name in doc if name not in _SECTIONS and name != "outputs"]
+    unknown += [
+        f"{name}.{key}"
+        for name, keyed in _SECTIONS.items()
+        if isinstance(doc.get(name), dict)
+        for key in doc[name]
+        if key not in keyed
+    ]
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise InvalidConfigError(f"unknown config key{'s' * (len(unknown) > 1)} {names}")
+    values = {name: _section(doc, name) for name in _SECTIONS}
+    nested = {}
+    for name, cls in _NESTED.items():
+        try:
+            nested[name] = cls(**values[name])
+        except InvalidConfigError as exc:
+            msg = str(exc)  # a beam's own message does not say which beam it is
+            raise InvalidConfigError(msg if msg.startswith(name) else f"{name}: {msg}") from None
+    flat = {
+        attr: values[name][key] for name, keys in _RUN_KEYS.items() for key, attr in keys.items()
+    }
 
     outputs = doc.get("outputs", list(KNOWN_OUTPUTS))
     if not isinstance(outputs, (list, tuple)) or not all(isinstance(o, str) for o in outputs):
         raise InvalidConfigError("'outputs' must be a list of product names")
-
-    cfg = RunConfig(
-        medium=medium,
-        control=_beam(doc, "control"),
-        probe_p=_beam(doc, "probe_p"),
-        probe_s=_beam(doc, "probe_s"),
-        grid_n=_integer(grid, "grid", "n", default=256),
-        grid_extent=_number(grid, "grid", "extent", default=3.0),
-        outputs=tuple(outputs),
-        ring_radius=radius,
-        profile_m=_integer(analysis, "analysis", "m", default=720),
-    )
-    return validate_config(cfg)
+    return validate_config(RunConfig(**nested, **flat, outputs=tuple(outputs)))
 
 
 def load_config(path) -> RunConfig:
@@ -230,25 +237,10 @@ def load_config(path) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """JSON-ready echo; parse_config(config_to_dict(cfg)) reproduces cfg."""
-
-    def beam(spec: LGBeamSpec) -> dict:
-        return {"epsilon": spec.epsilon, "tc": spec.tc, "waist": spec.waist}
-
-    return {
-        "medium": {
-            "gamma31": cfg.medium.gamma31,
-            "gamma21": cfg.medium.gamma21,
-            "delta": cfg.medium.delta,
-            "d": cfg.medium.d,
-            "length": cfg.medium.length,
-        },
-        "control": beam(cfg.control),
-        "probe_p": beam(cfg.probe_p),
-        "probe_s": beam(cfg.probe_s),
-        "grid": {"n": cfg.grid_n, "extent": cfg.grid_extent},
-        "outputs": list(cfg.outputs),
-        "analysis": {
-            "radius": "auto" if cfg.ring_radius is None else cfg.ring_radius,
-            "m": cfg.profile_m,
-        },
-    }
+    doc = {name: asdict(getattr(cfg, name)) for name in _NESTED}
+    for name, keys in _RUN_KEYS.items():
+        doc[name] = {key: getattr(cfg, attr) for key, attr in keys.items()}
+    doc["outputs"] = list(cfg.outputs)
+    if cfg.ring_radius is None:
+        doc["analysis"]["radius"] = "auto"
+    return doc

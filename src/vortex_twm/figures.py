@@ -28,10 +28,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from ._parallel import map_items
-from .beams import LGBeamSpec
-from .config import RunConfig, validate_config
+from .config import RunConfig, default_config, validate_config
 from .errors import InvalidConfigError
-from .medium import MediumParams
 from .runner import (
     METRIC_COLUMNS,
     analyse,
@@ -47,7 +45,6 @@ DETUNING_SWEEP = (-9.0, -6.0, -3.0, 0.0, 3.0, 6.0, 9.0)
 CHARGE_SWEEP_TRANSFER = (1, 2, 3)
 CHARGE_SWEEP_PETALS = (2, 3, 4)
 
-TRANSFER_DEPTH = 100.0
 CRESCENT_DEPTH = 8.0
 PETAL_DEPTH = 4.0
 
@@ -65,34 +62,23 @@ def _pinned_radius(n: int, extent: float, charge: int = 1, waist: float = 1.0) -
     return step * round(waist * math.sqrt(abs(charge) / 2.0) / step)
 
 
-def _weak_probe(tc: int) -> LGBeamSpec:
-    return LGBeamSpec(epsilon=0.005, tc=tc)
-
-
 def _transfer_base() -> RunConfig:
     """Deep-medium flat-probe cell of fig3; the presets sweep its control charge."""
-    return RunConfig(
-        medium=MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=TRANSFER_DEPTH),
-        control=LGBeamSpec(epsilon=4.0, tc=1),
-        probe_p=_weak_probe(0),
-        probe_s=_weak_probe(0),
-        outputs=("images", "metrics"),
-    )
+    return replace(default_config(), outputs=("images", "metrics"))
 
 
 def _interference_base(depth: float, outputs) -> RunConfig:
     """Unit-charge interference cell on the pinned ring, resonant, at depth d."""
+    base = default_config()
     n = ANGLE_GRID_N
-    extent = 3.0
-    return RunConfig(
-        medium=MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=depth),
-        control=LGBeamSpec(epsilon=4.0, tc=1),
-        probe_p=_weak_probe(1),
-        probe_s=_weak_probe(1),
+    return replace(
+        base,
+        medium=replace(base.medium, d=depth),
+        probe_p=replace(base.probe_p, tc=1),
+        probe_s=replace(base.probe_s, tc=1),
         grid_n=n,
-        grid_extent=extent,
         outputs=tuple(outputs),
-        ring_radius=_pinned_radius(n, extent, charge=1),
+        ring_radius=_pinned_radius(n, base.grid_extent, charge=1),
     )
 
 
@@ -185,7 +171,8 @@ def _sweep_cell(cfg: RunConfig, param: str, value: float) -> RunConfig:
 def _sweep_cells(cfg: RunConfig, param: str, values) -> list[tuple[str, RunConfig]]:
     """(label, config) per value of param over cfg, labelled param_{value:g}.
 
-    Rejects an unknown param, an empty list and values whose labels collide.
+    Rejects an unknown param, an empty list, values whose labels collide
+    and any cell that fails validate_config, before a cell runs.
     """
     if param not in SWEEP_PARAMS:
         raise InvalidConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
@@ -199,7 +186,7 @@ def _sweep_cells(cfg: RunConfig, param: str, values) -> list[tuple[str, RunConfi
                 f"sweep values {labels[label]!r} and {v!r} share the cell label {label!r}"
             )
         labels[label] = v
-    return [(label, _sweep_cell(cfg, param, v)) for label, v in labels.items()]
+    return [(label, validate_config(_sweep_cell(cfg, param, v))) for label, v in labels.items()]
 
 
 def _sweep(cfg: RunConfig, param: str, values, out_dir, payload, columns, rows_of):
@@ -214,7 +201,6 @@ def _sweep(cfg: RunConfig, param: str, values, out_dir, payload, columns, rows_o
 
     def work(cell):
         label, cell_cfg = cell
-        validate_config(cell_cfg)
         fields = compute_fields(cell_cfg)
         analysed = analyse(cell_cfg, fields)
         cell_dir = out_dir / label

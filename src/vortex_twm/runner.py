@@ -102,15 +102,8 @@ def write_metrics_csv(rows: list[dict], columns, path) -> None:
 
 
 def _fmt_cell(val) -> str:
-    if val == "" or val is None:
-        return ""
-    if isinstance(val, bool):
-        return str(int(val))
-    if isinstance(val, int):
-        return str(val)
-    if isinstance(val, float):
-        return format(val, ".17g")
-    return str(val)
+    """A float (numpy's too) as %.17g; a name, an integer or a blank "" as is."""
+    return format(val, ".17g") if isinstance(val, float) else str(val)
 
 
 def file_sha256(path) -> str:

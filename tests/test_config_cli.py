@@ -24,9 +24,13 @@ from vortex_twm.config import (
     validate_config,
 )
 from vortex_twm.errors import InvalidConfigError
-from vortex_twm.figures import FIGURE_IDS
+from vortex_twm.figures import CRESCENT_DEPTH, FIGURE_IDS, PETAL_DEPTH
+from vortex_twm.figures import _interference_base, _transfer_base
 from vortex_twm.runner import file_sha256, run_config
 from vortex_twm.verify import SuiteResult
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def _small_doc(**overrides):
@@ -94,6 +98,75 @@ def test_config_round_trip_identity():
     assert parse_config(config_to_dict(cfg)) == cfg
     pinned = dataclasses.replace(cfg, ring_radius=0.75, outputs=("images",), profile_m=360)
     assert parse_config(config_to_dict(pinned)) == pinned
+    bundled = [load_config(CONFIGS / name) for name in ("transfer.json", "interference.json")]
+    presets = [
+        _transfer_base(),
+        _interference_base(CRESCENT_DEPTH, ("images", "metrics")),
+        _interference_base(CRESCENT_DEPTH, ("profiles", "metrics")),
+        _interference_base(PETAL_DEPTH, ("images", "metrics")),
+    ]
+    for cfg in bundled + presets:
+        assert parse_config(config_to_dict(cfg)) == cfg
+
+
+def _readme_config():
+    """The JSON block of README's Configuration section."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_config_is_the_canonical_run():
+    doc = _readme_config()
+    assert config_to_dict(parse_config(doc)) == doc
+    assert doc == config_to_dict(default_config())
+    assert doc == config_to_dict(load_config(CONFIGS / "transfer.json"))
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("medium", "detuning"),
+        ("control", "wiast"),
+        ("probe_p", "tc_"),
+        ("probe_s", "Epsilon"),
+        ("grid", "N"),
+        ("analysis", "M"),
+        (None, "output"),
+    ],
+)
+def test_parse_rejects_unknown_key(section, key):
+    doc = _small_doc()
+    if section is None:
+        doc[key] = ["metrics"]
+        name = key
+    else:
+        doc[section][key] = 1.0
+        name = f"{section}.{key}"
+    with pytest.raises(InvalidConfigError, match=f"^unknown config key '{name}'$"):
+        parse_config(doc)
+
+
+def test_cli_rejects_misspelled_keys(tmp_path, capsys):
+    # each typo used to fall back to its default: n = 256, delta = 0, waist 1
+    doc = _small_doc()
+    doc["output"] = doc.pop("outputs")
+    doc["grid"] = {"N": 64}
+    doc["analysis"] = {"M": 32}
+    doc["medium"]["detuning"] = 3.0
+    doc["control"]["wiast"] = 0.5
+    names = "'output', 'medium.detuning', 'control.wiast', 'grid.N', 'analysis.M'"
+    _cli_rejects(tmp_path, capsys, doc, f"unknown config keys {names}")
+
+
+def test_cli_sweep_validates_every_cell_first(tmp_path, capsys):
+    # lc = 40 needs n >= 328; the lc = 1 cell must not run before that is known
+    out = tmp_path / "X"
+    argv = ["sweep", "--param", "lc", "--values=1,40", "--config", str(CONFIGS / "transfer.json")]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "grid.n = 256 under-resolves charge 40" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_parse_config_error_paths():
@@ -478,7 +551,7 @@ _OUTPUTS = st.one_of(
 
 @st.composite
 def _config_doc(draw):
-    """A small valid document with up to three keys or sections changed or removed."""
+    """A small valid document with up to three keys or sections changed, removed or renamed."""
     doc = json.loads(json.dumps(_VALID_DOC))
     for _ in range(draw(st.integers(1, 3)) if draw(st.booleans()) else 0):
         section = draw(st.sampled_from(sorted(_VALID_DOC)))
@@ -491,8 +564,12 @@ def _config_doc(draw):
                 doc[section] = draw(_OUTPUTS if section == "outputs" else _JUNK)
             continue
         key = draw(st.sampled_from(keys))
-        if key != "n" and draw(st.integers(0, 3)) == 0:
+        change = draw(st.integers(0, 4)) if key != "n" else 4
+        if change == 0:
             doc[section].pop(key, None)
+        elif change == 1:
+            # a misspelled key: its value kept under a name one character longer
+            doc[section][key + draw(st.sampled_from("s_X"))] = doc[section].pop(key, None)
         else:
             doc[section][key] = draw(_KEY_VALUES[key])
     return doc

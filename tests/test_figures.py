@@ -86,6 +86,8 @@ def test_sweep_cells_revalidate(tmp_path):
     cfg = _base_config(n=32, extent=3.0)
     with pytest.raises(InvalidConfigError, match="charge 5"):
         run_sweep(cfg, "lc", [1.0, 5.0], tmp_path / "s")
+    # the valid lc = 1 cell does not run before the invalid one is found
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_amp_axis(tmp_path):
