@@ -224,10 +224,23 @@ def parse_config(doc: dict) -> RunConfig:
     return validate_config(RunConfig(**nested, **flat, outputs=tuple(outputs)))
 
 
+def _object(pairs: tuple, path: str = "") -> dict:
+    """A JSON object from its (key, value) pairs; a repeated key is an error naming its path."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise InvalidConfigError(f"duplicate config key '{path}{key}'")
+        obj[key] = _object(val, f"{path}{key}.") if isinstance(val, tuple) else val
+    return obj
+
+
 def load_config(path) -> RunConfig:
+    """parse_config of a JSON file; a key repeated within one object is an error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            # objects decode to tuples of pairs (arrays are lists), so none is lost
+            doc = json.load(fh, object_pairs_hook=tuple)
+            doc = _object(doc) if isinstance(doc, tuple) else doc
         except (ValueError, RecursionError) as exc:
             # malformed JSON, bytes that are not UTF-8, an integer literal over
             # Python's digit limit, or nesting deeper than the recursion limit

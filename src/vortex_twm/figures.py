@@ -193,7 +193,8 @@ def _sweep(cfg: RunConfig, param: str, values, out_dir, payload, columns, rows_o
     """Run cfg across the values of param, cells in parallel, into out_dir/<label>.
 
     The top metrics.csv holds rows_of(analyse result) of each cell, led by
-    its value; the manifest lists it and every cell file.
+    its value; the manifest lists it and every cell file, reusing the size
+    and digest that the cell's own manifest recorded.
     """
     cells = _sweep_cells(cfg, param, values)
     out_dir = Path(out_dir)
@@ -205,15 +206,15 @@ def _sweep(cfg: RunConfig, param: str, values, out_dir, payload, columns, rows_o
         analysed = analyse(cell_cfg, fields)
         cell_dir = out_dir / label
         manifest = write_products(cell_cfg, cell_dir, fields, analysed)
-        written = [cell_dir / e["path"] for e in manifest["files"]] + [cell_dir / "manifest.json"]
-        return analysed, written
+        return analysed, [{**e, "path": f"{label}/{e['path']}"} for e in manifest["files"]]
 
     done = map_items(work, cells)
     rows = [{param: v, **row} for (cell, _), v in zip(done, values) for row in rows_of(cell)]
     table = out_dir / "metrics.csv"
     write_metrics_csv(rows, columns, table)
     payload = {**payload, "cells": [label for label, _ in cells]}
-    return write_manifest(out_dir, payload, [*(p for _, paths in done for p in paths), table])
+    hashed = [*(out_dir / label / "manifest.json" for label, _ in cells), table]
+    return write_manifest(out_dir, payload, hashed, [e for _, entries in done for e in entries])
 
 
 def _field_rows(analysed):

@@ -28,6 +28,7 @@ squaring (``medium.rk4_power``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,11 +84,12 @@ def _channel_factors(p: MediumParams, control, z: float):
     mode_minus = np.exp(-1j * bx - xg)
     cos_damp = 0.5 * (mode_plus + mode_minus)
     small = np.abs(bx) < SERIES_SWITCH
-    bx2 = bx * bx
-    series = x * (1.0 - bx2 / 6.0 + bx2 * bx2 / 120.0) * np.exp(-xg)
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = (mode_plus - mode_minus) / np.where(small, 1.0, 2j * beta)
-    sinc_damp = np.where(small, series, direct)
+        sinc_damp = np.asarray((mode_plus - mode_minus) / np.where(small, 1.0, 2j * beta))
+    if small.any():  # the series and its exp only where they are used
+        xs, bs, gs = (np.broadcast_to(a, small.shape)[small] for a in (x, bx, xg))
+        bs2 = bs * bs
+        sinc_damp[small] = xs * (1.0 - bs2 / 6.0 + bs2 * bs2 / 120.0) * np.exp(-gs)
     return cos_damp, sinc_damp
 
 
@@ -168,6 +170,11 @@ def _shared_grid(*fields: ComplexField):
     return grid
 
 
+def _points(*arrays) -> tuple:
+    """Hashable exact key of point arrays: the dtype, shape and bytes of each."""
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays))
+
+
 def _exit_faces(p: MediumParams, control, probe_p, probe_s) -> dict:
     """The six output fields from the three input fields at the same points."""
     # both channels travel the full length, so they share one factor pair
@@ -209,9 +216,19 @@ def output_fields(
     values = _exit_faces(p, *(f.values for f in inputs))
     ats = tuple(f.at for f in inputs)
 
+    # the six outputs share one read-only evaluation per point set; the last
+    # two sets stay kept, so a ring scan survives while each sampling ring is read
+    @lru_cache(maxsize=2)
+    def faces(points):
+        r, theta = (np.frombuffer(raw, dtype).reshape(shape) for dtype, shape, raw in points)
+        out = _exit_faces(p, *(at(r, theta) for at in ats))
+        for v in out.values():
+            v.setflags(write=False)
+        return out
+
     def evaluator(name):
         if any(at is None for at in ats):
             return None
-        return lambda r, theta: _exit_faces(p, *(at(r, theta) for at in ats))[name]
+        return lambda r, theta: faces(_points(r, theta))[name]
 
     return {name: ComplexField(grid, v, evaluator(name)) for name, v in values.items()}

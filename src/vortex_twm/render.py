@@ -36,20 +36,6 @@ def write_intensity_pgm(field: ComplexField, path) -> None:
     _write_pnm(path, "P5", np.floor(255.0 * ratio + 0.5).astype(np.uint8))
 
 
-def _hue_to_rgb(hue: np.ndarray):
-    """Piecewise-linear hue wheel at full saturation and brightness."""
-    h6 = (hue % 1.0) * 6.0
-    sector = np.floor(h6).astype(int) % 6
-    frac = h6 - np.floor(h6)
-    one = np.ones_like(frac)
-    zero = np.zeros_like(frac)
-    sel = [sector == k for k in range(5)]
-    r = np.select(sel, [one, 1.0 - frac, zero, zero, frac], default=one)
-    g = np.select(sel, [frac, one, one, 1.0 - frac, zero], default=zero)
-    b = np.select(sel, [zero, zero, frac, one, one], default=1.0 - frac)
-    return r, g, b
-
-
 def write_phase_ppm(field: ComplexField, path) -> None:
     """Binary PPM (P6) phase map.
 
@@ -58,10 +44,15 @@ def write_phase_ppm(field: ComplexField, path) -> None:
     black (phase there is noise), and so is every pixel of a zero field.
     """
     amp = np.abs(field.values)
-    hue = (np.angle(field.values) + np.pi) / (2.0 * np.pi)
-    rgb = np.stack(_hue_to_rgb(hue), axis=-1)
-    rgb[(amp < AMPLITUDE_FLOOR * amp.max()) | (amp == 0.0)] = 0.0
-    _write_pnm(path, "P6", np.floor(255.0 * rgb + 0.5).astype(np.uint8))
+    h6 = ((np.angle(field.values) + np.pi) / (2.0 * np.pi) % 1.0) * 6.0
+    # piecewise-linear wheel, full saturation and brightness: each segment
+    # is an exact (Sterbenz) difference of h6, clipped to [0, 1]
+    wheel = np.maximum(2.0 - h6, h6 - 4.0), np.minimum(h6, 4.0 - h6), np.minimum(h6 - 2.0, 6.0 - h6)
+    rgb = np.empty(h6.shape + (3,), dtype=np.uint8)
+    for k, level in enumerate(wheel):
+        rgb[..., k] = np.floor(255.0 * np.clip(level, 0.0, 1.0) + 0.5)
+    rgb[(amp < AMPLITUDE_FLOOR * amp.max()) | (amp == 0.0)] = 0
+    _write_pnm(path, "P6", rgb)
 
 
 _CELL = "%.17g"  # round-trips any finite double exactly

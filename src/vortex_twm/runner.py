@@ -114,14 +114,15 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir, payload: dict, paths) -> dict:
+def write_manifest(out_dir, payload: dict, paths, listed=()) -> dict:
     """Attach size and digest of each written path and write manifest.json.
 
     paths are the files this run wrote under out_dir; they are listed by
     path relative to out_dir, sorted, so the manifest is deterministic.
+    listed are entries already digested, their paths relative to out_dir.
     """
     out_dir = Path(out_dir)
-    files = []
+    files = list(listed)
     for path in paths:
         path = Path(path)
         rel = path.relative_to(out_dir).as_posix()
@@ -150,10 +151,12 @@ def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField], ana
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    written, made = [], {""}
 
     def target(subdir: str, name: str) -> Path:
-        (out_dir / subdir).mkdir(exist_ok=True)
+        if subdir not in made:
+            (out_dir / subdir).mkdir(exist_ok=True)
+            made.add(subdir)
         written.append(out_dir / subdir / name)
         return written[-1]
 

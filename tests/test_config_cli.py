@@ -158,6 +158,33 @@ def test_cli_rejects_misspelled_keys(tmp_path, capsys):
     _cli_rejects(tmp_path, capsys, doc, f"unknown config keys {names}")
 
 
+def _repeat_in_medium(text):
+    return text.replace('"d": 8.0', '"d": 100.0, "d": 8.0')
+
+
+def _repeat_top_level(text):
+    return text[:-1] + ', "grid": {"n": 64, "extent": 3.0}}'
+
+
+# json.load keeps the last of two equal keys: each of these used to run silently
+@pytest.mark.parametrize(
+    "repeat, key", [(_repeat_in_medium, "medium.d"), (_repeat_top_level, "grid")]
+)
+def test_duplicate_key_is_rejected(tmp_path, capsys, repeat, key):
+    path = tmp_path / "cfg.json"
+    text = repeat(json.dumps(_small_doc()))
+    parse_config(json.loads(text))  # the last value wins and the run is valid
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidConfigError, match=f"^duplicate config key '{key}'$"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"duplicate config key '{key}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_sweep_validates_every_cell_first(tmp_path, capsys):
     # lc = 40 needs n >= 328; the lc = 1 cell must not run before that is known
     out = tmp_path / "X"

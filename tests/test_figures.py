@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortex_twm import analysis
+from vortex_twm import analysis, propagation
 from vortex_twm.beams import make_grid, sample_lg
 from vortex_twm.config import load_config, parse_config
 from vortex_twm.errors import InvalidConfigError
@@ -179,6 +180,51 @@ def test_fig3_table_reads_cell_metrics(tmp_path, monkeypatch):
         for key in ("fp", "fs"):
             assert line[f"winding_{key}"] == cell[f"omega_{key}"]["winding"]
             assert line[f"ring_{key}"] == cell[f"omega_{key}"]["ring_radius"]
+
+
+def _counting_exit_faces(monkeypatch):
+    calls = []
+    real = propagation._exit_faces
+    monkeypatch.setattr(propagation, "_exit_faces", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_pinned_ring_cell_evaluates_the_closed_form_three_times(tmp_path, monkeypatch):
+    calls = _counting_exit_faces(monkeypatch)
+    run_config(_interference_base(CRESCENT_DEPTH, ("images", "metrics")), tmp_path / "fig4_cell")
+    # the grid, the brightest-ring scan of all four fields, and the pinned ring
+    assert len(calls) == 3
+
+
+def test_auto_ring_run_evaluates_once_per_sampling_radius(tmp_path, monkeypatch):
+    calls = _counting_exit_faces(monkeypatch)
+    run_config(load_config(CONFIGS / "transfer.json"), tmp_path / "run")
+    with open(tmp_path / "run" / "metrics.csv", newline="") as fh:
+        radii = {row["radius"] for row in csv.DictReader(fh)}
+    assert len(radii) > 1
+    assert len(calls) == 2 + len(radii)
+
+
+def _assert_manifest_lists_the_files(out: Path):
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert [e["path"] for e in manifest["files"]] == [p for p in on_disk if p != "manifest.json"]
+    for entry in manifest["files"]:
+        data = (out / entry["path"]).read_bytes()
+        assert entry["bytes"] == len(data)
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+    return manifest
+
+
+def test_figure_and_sweep_manifests_match_the_files(tmp_path):
+    # a top manifest reuses its cells' digests: every entry must still be the file's
+    cfg = replace(_base_config(n=32, extent=3.0), outputs=("images", "profiles", "metrics"))
+    reproduce_figure("fig4", tmp_path / "fig4")
+    run_sweep(cfg, "delta", [-3.0, 0.0, 3.0], tmp_path / "sweep")
+    for out in (tmp_path / "fig4", tmp_path / "sweep"):
+        manifest = _assert_manifest_lists_the_files(out)
+        for label in manifest["cells"]:
+            _assert_manifest_lists_the_files(out / label)
 
 
 def _tree_bytes(root: Path) -> dict:

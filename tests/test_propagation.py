@@ -1,9 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortex_twm import verify
+from vortex_twm import propagation, verify
 from vortex_twm.beams import ComplexField, LGBeamSpec, make_grid, sample_lg
 from vortex_twm.errors import (
     DegenerateMediumError,
@@ -11,8 +14,9 @@ from vortex_twm.errors import (
     InvalidConfigError,
     StepCountError,
 )
-from vortex_twm.medium import MediumParams, y_factor
+from vortex_twm.medium import MediumParams, beta_factor, y_factor
 from vortex_twm.propagation import (
+    SERIES_SWITCH,
     ChannelState,
     integrate_channel_numeric,
     output_fields,
@@ -288,3 +292,152 @@ def test_channel_power_decays_at_zero_detuning():
             power = abs(s.primary) ** 2 + abs(s.generated) ** 2
             assert power <= power_prev * (1.0 + 1e-14)
             power_prev = power
+
+
+# ------------------------------------------------- shared closed-form reads
+
+
+INTERFERENCE = MediumParams(1.0, 0.05, 0.0, 8.0)
+
+
+def _interference_inputs():
+    g = make_grid(33, 3.0)
+    return [sample_lg(LGBeamSpec(eps, 1), g) for eps in (4.0, 0.005, 0.005)]
+
+
+def _fresh(inputs, name, r, theta):
+    """One output at (r, theta) from its formula, bypassing any shared evaluation."""
+    return propagation._exit_faces(INTERFERENCE, *(f.at(r, theta) for f in inputs))[name]
+
+
+def test_shared_reads_equal_fresh_evaluations():
+    inputs = _interference_inputs()
+    out = output_fields(INTERFERENCE, *inputs)
+    thetas = 2.0 * np.pi * np.arange(32) / 32
+    scan = np.arange(0.0, 3.0, 0.1)[:, None]
+    # interleaved point sets, more than are kept: scans, rings, scalars, a
+    # float32 copy of a ring (equal values, other bytes) and the grid itself
+    reads = [
+        (scan, thetas), (0.7, thetas), (scan, thetas), (1.1, thetas), (0.7, thetas),
+        (0.25, 1.5), (scan, thetas), (0.25, 1.5), (np.float32(0.7), thetas.astype(np.float32)),
+        (0.7, thetas), (inputs[0].grid.r, inputs[0].grid.theta), (0.25, 1.5), (scan, thetas),
+    ]
+    for r, theta in reads:
+        for name, field in out.items():
+            got, want = field.at(r, theta), _fresh(inputs, name, r, theta)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_shared_reads_are_read_only():
+    out = output_fields(INTERFERENCE, *_interference_inputs())
+    thetas = np.linspace(0.0, 6.0, 16)
+    ring = out["omega_d"].at(0.7, thetas)
+    before = ring.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        ring[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        ring *= 2.0
+    assert np.array_equal(out["omega_d"].at(0.7, thetas), before)
+
+
+def test_closed_form_is_evaluated_once_per_point_set(monkeypatch):
+    inputs = _interference_inputs()
+    out = output_fields(INTERFERENCE, *inputs)
+    calls = []
+    real = propagation._exit_faces
+    monkeypatch.setattr(propagation, "_exit_faces", lambda *a: calls.append(a) or real(*a))
+    thetas = 2.0 * np.pi * np.arange(32) / 32
+    scan = np.arange(0.0, 3.0, 0.1)[:, None]
+    for radius in (0.5, 0.5, 0.9, 0.9, 0.5):
+        for field in out.values():
+            field.at(scan, thetas)
+            field.at(radius, thetas)
+    # the scan stays kept while each ring is read; 0.5 is read again after 0.9 evicted it
+    assert len(calls) == 4
+
+
+def test_threads_read_distinct_rings_of_shared_fields():
+    inputs = _interference_inputs()
+    out = output_fields(INTERFERENCE, *inputs)
+    thetas = 2.0 * np.pi * np.arange(64) / 64
+    radii = (0.3, 0.6, 0.9, 1.2, 1.5, 1.8)
+    want = {(name, r): _fresh(inputs, name, r, thetas) for name in out for r in radii}
+    bad, done = [], []
+
+    def reader(r):
+        for _ in range(40):
+            for name, field in out.items():
+                if not np.array_equal(field.at(r, thetas), want[name, r]):
+                    bad.append((name, r))
+        done.append(r)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(r,)) for r in radii]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(radii)
+    assert bad == []
+
+
+# ------------------------------------------------------- channel factor oracle
+
+
+def _full_array_factors(p, control, z):
+    """The former _channel_factors: the series and its exp on every pixel."""
+    y = y_factor(p, control)
+    beta = beta_factor(p, control)
+    x = (p.d * z) / (8.0 * y * p.length)
+    bx = beta * x
+    xg = x * (1j * p.delta + p.gamma31 + p.gamma21)
+    mode_plus = np.exp(1j * bx - xg)
+    mode_minus = np.exp(-1j * bx - xg)
+    cos_damp = 0.5 * (mode_plus + mode_minus)
+    small = np.abs(bx) < SERIES_SWITCH
+    bx2 = bx * bx
+    series = x * (1.0 - bx2 / 6.0 + bx2 * bx2 / 120.0) * np.exp(-xg)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        direct = (mode_plus - mode_minus) / np.where(small, 1.0, 2j * beta)
+    return cos_damp, np.where(small, series, direct)
+
+
+def _near_switch_controls(p, z):
+    """Control amplitudes whose |beta x| lands just either side of SERIES_SWITCH."""
+    amps = np.geomspace(1e-6, 1e-2, 4001)
+    bx = np.abs(beta_factor(p, amps) * p.d * z / (8.0 * y_factor(p, amps) * p.length))
+    edge = int(np.argmax(bx >= SERIES_SWITCH))
+    return amps[edge - 3 : edge + 3]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        MediumParams(1.0, 1.0, 0.0, 1.0),   # beta = |control|: zero at zero control
+        MediumParams(1.0, 1.0, 0.0, 40.0),
+        MediumParams(1.0, 0.05, 0.0, 8.0),  # beta = 0 on the ring |control| = 0.95
+        MediumParams(1.0, 0.05, 1.5, 100.0),
+    ],
+)
+@pytest.mark.parametrize("z", [0.0, 0.3, 1.0])
+def test_channel_factors_match_full_array_formula(p, z):
+    z = z * p.length
+    near = _near_switch_controls(p, z) if p.gamma31 == p.gamma21 and z > 0 else np.array([])
+    ring = 0.95 * np.exp(1j * np.linspace(0.0, 6.0, 5))
+    ordinary = np.array([0.0, 0.0, 1e-3j, 0.3 - 0.2j, 1.0, 4.0, 4.0j, 12.0 + 5.0j])
+    control = np.concatenate([near, near * 1j, ring, ring * (1.0 + 1e-9), ordinary])
+    if p.gamma31 == p.gamma21 and z > 0:
+        bx = np.abs(beta_factor(p, near) * p.d * z / (8.0 * y_factor(p, near) * p.length))
+        assert (bx < SERIES_SWITCH).any() and (bx >= SERIES_SWITCH).any()
+    for c in (control, control.reshape(3, -1)[:, ::2], *control[::3], 0.0, 0.95, 4.0):
+        got = propagation._channel_factors(p, c, z)
+        want = _full_array_factors(p, c, z)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()

@@ -258,3 +258,88 @@ def test_field_csv_streams_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+# ---------------------------------------------------------- phase-map oracle
+# The former np.select hue wheel, kept as the reference for write_phase_ppm's bytes.
+
+
+def _select_wheel_ppm(field: ComplexField) -> bytes:
+    amp = np.abs(field.values)
+    hue = (np.angle(field.values) + np.pi) / (2.0 * np.pi)
+    h6 = (hue % 1.0) * 6.0
+    sector = np.floor(h6).astype(int) % 6
+    frac = h6 - np.floor(h6)
+    one, zero = np.ones_like(frac), np.zeros_like(frac)
+    sel = [sector == k for k in range(5)]
+    r = np.select(sel, [one, 1.0 - frac, zero, zero, frac], default=one)
+    g = np.select(sel, [frac, one, one, 1.0 - frac, zero], default=zero)
+    b = np.select(sel, [zero, zero, frac, one, one], default=1.0 - frac)
+    rgb = np.stack((r, g, b), axis=-1)
+    rgb[(amp < AMPLITUDE_FLOOR * amp.max()) | (amp == 0.0)] = 0.0
+    pixels = np.floor(255.0 * rgb + 0.5).astype(np.uint8)
+    n = field.grid.n
+    return f"P6\n{n} {n}\n255\n".encode("ascii") + pixels[::-1].tobytes()
+
+
+def _assert_ppm_matches_oracle(field, path):
+    write_phase_ppm(field, path)
+    assert path.read_bytes() == _select_wheel_ppm(field)
+
+
+@pytest.mark.parametrize("name", ["transfer.json", "interference.json"])
+def test_phase_ppm_matches_select_wheel_on_products(tmp_path, name):
+    fields = compute_fields(load_config(CONFIGS / name))
+    assert len(fields) == 6
+    for key, f in fields.items():
+        _assert_ppm_matches_oracle(f, tmp_path / f"{key}.ppm")
+
+
+def _angles_near(angles, ulps=3):
+    """Each angle and its nearest ulps neighbours either side."""
+    out = []
+    for a in angles:
+        lo = hi = a
+        for _ in range(ulps):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            out += [lo, hi]
+        out.append(a)
+    return np.array(out)
+
+
+def test_phase_ppm_matches_select_wheel_at_sector_boundaries(tmp_path):
+    # arg = 2 pi k / 6 - pi puts h6 on the integer k, where two sectors meet
+    angles = _angles_near([2.0 * np.pi * k / 6.0 - np.pi for k in range(7)] + [0.0])
+    values = list(np.exp(1j * angles)) + [-1.0 + 0.0j, complex(-1.0, -0.0), 1.0, 1j, -1j]
+    h6 = ((np.angle(values) + np.pi) / (2.0 * np.pi) % 1.0) * 6.0
+    assert set(range(6)) <= set(h6[h6 == np.floor(h6)].astype(int))  # exact boundaries hit
+    n = int(np.ceil(np.sqrt(len(values))))
+    grid = np.zeros(n * n, dtype=complex)
+    grid[: len(values)] = values
+    f = ComplexField(make_grid(n, 1.0), grid.reshape(n, n))
+    _assert_ppm_matches_oracle(f, tmp_path / "boundaries.ppm")
+
+
+def test_phase_ppm_matches_select_wheel_at_the_amplitude_floor(tmp_path):
+    phases = np.exp(1j * np.linspace(-np.pi, np.pi, 16))
+    levels = [1.0, AMPLITUDE_FLOOR, 0.5 * AMPLITUDE_FLOOR, np.nextafter(AMPLITUDE_FLOOR, 0.0), 0.0]
+    vals = np.array([lvl * phases for lvl in levels] + [np.zeros(16)] * 11)
+    f = ComplexField(make_grid(16, 1.0), vals)
+    _assert_ppm_matches_oracle(f, tmp_path / "floor.ppm")
+    img = _read_ppm(tmp_path / "floor.ppm")
+    assert img[15].any() and img[14].any()  # full amplitude, and exactly at the floor
+    assert not img[:14].any()  # half the floor, just below it, and zero
+    _assert_ppm_matches_oracle(_field_2x2(np.zeros((2, 2))), tmp_path / "zero.ppm")
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # seed-unique filenames
+)
+def test_phase_ppm_matches_select_wheel_random(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    vals *= 10.0 ** rng.integers(-14, 0, size=(9, 9))
+    _assert_ppm_matches_oracle(ComplexField(make_grid(9, 2.0), vals), tmp_path / f"r{seed}.ppm")
