@@ -86,13 +86,14 @@ class LGBeamSpec:
 class ComplexField:
     """Complex amplitude per grid pixel, same units as the beam amplitude.
 
-    at(r, theta), if set, is the formula of the field at any polar points:
-    values is exactly at(grid.r, grid.theta).  A bare array has none.
+    orders, if set, maps each angular order k to its radial part R_k(r):
+    the field is sum_k R_k(r) exp(i k theta) at any polar point, and values
+    is that sum on the grid up to rounding.  A bare array has none.
     """
 
     grid: Grid2D
     values: np.ndarray
-    at: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    orders: dict[int, Callable[[np.ndarray], np.ndarray]] | None = None
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=complex)
@@ -117,7 +118,8 @@ def sample_lg(spec: LGBeamSpec, grid: Grid2D) -> ComplexField:
 
     The r = 0 pixel is evaluated exactly: 0**0 == 1 gives eps for l = 0,
     and the radial factor is exactly zero for l != 0, so the phase
-    singularity needs no epsilon offset.  The field's at is this formula.
+    singularity needs no epsilon offset.  The field has the one order l,
+    whose radial part is the formula at theta = 0.
     """
-    at = partial(_lg, spec)
-    return ComplexField(grid, at(grid.r, grid.theta), at)
+    orders = {spec.tc: partial(_lg, spec, theta=0.0)}
+    return ComplexField(grid, _lg(spec, grid.r, grid.theta), orders)

@@ -66,14 +66,6 @@ class RunConfig:
     def max_charge(self) -> int:
         return max(abs(self.control.tc), abs(self.probe_p.tc), abs(self.probe_s.tc))
 
-    def ring_angles(self) -> int:
-        """Angles of the brightest-ring scan and the floor of analysis.m.
-
-        No output intensity has a ring harmonic above |lc| + |lp| + |ls|,
-        so this many uniform angles give its exact ring mean.
-        """
-        return 16 * (self.max_charge() + 1)
-
 
 def default_config() -> RunConfig:
     """Canonical run: resonant strong vortex control, weak flat probes."""
@@ -132,11 +124,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             f"grid step 2*extent/(n-1) = {step!r} does not resolve the beam waist {finest!r}"
             " (raise grid.n or lower grid.extent)"
         )
-    need_m = cfg.ring_angles()
-    if not isinstance(cfg.profile_m, int) or cfg.profile_m < need_m:
-        raise InvalidConfigError(
-            f"analysis.m = {cfg.profile_m!r} under-samples charge {lmax} (need >= {need_m})"
-        )
+    if not isinstance(cfg.profile_m, int) or cfg.profile_m < 16:
+        raise InvalidConfigError(f"analysis.m must be an integer >= 16, got {cfg.profile_m!r}")
     if cfg.profile_m > PROFILE_M_MAX:
         raise InvalidConfigError(f"analysis.m = {cfg.profile_m} exceeds the ceiling {PROFILE_M_MAX}")
     bad = [o for o in cfg.outputs if o not in KNOWN_OUTPUTS]

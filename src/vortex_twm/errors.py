@@ -30,11 +30,7 @@ class StepCountError(VortexTwmError):
 
 
 class AmplitudeFloorError(VortexTwmError):
-    """Ring amplitude at or below the floor, phase is undefined there."""
-
-
-class NonIntegerWindingError(VortexTwmError):
-    """Accumulated ring phase is not close to an integer multiple of 2*pi."""
+    """No angular order dominates the ring above the floor; its phase may vanish."""
 
 
 class StructurelessProfileError(VortexTwmError):
@@ -46,7 +42,7 @@ class ZeroFieldError(VortexTwmError):
 
 
 class NoClosedFormError(VortexTwmError):
-    """A ring observable was asked of a field that carries no closed form."""
+    """A ring observable was asked of a field that carries no angular orders."""
 
 
 class OutOfGridError(VortexTwmError):

@@ -21,20 +21,20 @@ versa.
 ``solve_channel_s`` and ``solve_channel_p`` evaluate the closed-form
 solutions (matrix exponential of the constant-coefficient system);
 ``integrate_channel_numeric`` integrates the same systems with the classical
-RK4 scheme and is the independent oracle for them.  Its N steps are applied
-as one matrix, R(hA)^N with R the degree-4 Taylor polynomial, formed by
+RK4 scheme and is the independent oracle for them; it takes their
+coefficients from ``medium.steady_coherences``.  Its N steps are applied as
+one matrix, R(hA)^N with R the degree-4 Taylor polynomial, formed by
 squaring (``medium.rk4_power``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .beams import ComplexField
 from .errors import GridMismatchError, InvalidConfigError, StepCountError
-from .medium import MediumParams, beta_factor, _checked_y, rk4_power
+from .medium import MediumParams, _checked_y, beta_factor, rk4_power, steady_coherences
 
 __all__ = [
     "ChannelState",
@@ -133,29 +133,26 @@ def integrate_channel_numeric(
 
     Integrates the coupled amplitude equations as stated in the module
     docstring, independently of the closed forms, starting from
-    (boundary, 0): the per-pixel 2x2 coefficient matrix A is built from
-    those equations and the `steps` uniform steps are R(hA)^steps.  Used as
-    the oracle for solve_channel_*.
+    (boundary, 0).  Their per-pixel 2x2 coefficient matrix A is the medium's
+    own response: its columns are medium.steady_coherences for a unit
+    probe on each transition, scaled by i d / (2 L).  The `steps` uniform
+    steps are R(hA)^steps.  Used as the oracle for solve_channel_*.
     """
     if channel not in ("s", "p"):
         raise InvalidConfigError(f"channel must be 's' or 'p', got {channel!r}")
     if not isinstance(steps, (int, np.integer)) or steps < 100:
         raise StepCountError(f"steps must be an integer >= 100, got {steps!r}")
 
-    y = _checked_y(p, control)
+    # s: (omega_s, omega_fp) = (probe_s, probe_p) moves as (rho31, rho21); p swaps both
+    units, rows = ((0, 1), (1, 0)), ("rho31", "rho21")
+    if channel == "p":
+        units, rows = units[::-1], rows[::-1]
     pre = 0.5j * p.d / p.length
-    if channel == "s":
-        a11 = pre * 0.5j * p.gamma21 / y
-        a12 = pre * -0.25 * control / y
-        a21 = pre * -0.25 * np.conj(control) / y
-        a22 = pre * 0.5j * (p.gamma31 + 1j * p.delta) / y
-    else:
-        a11 = pre * 0.5j * (p.gamma31 + 1j * p.delta) / y
-        a12 = pre * -0.25 * np.conj(control) / y
-        a21 = pre * -0.25 * control / y
-        a22 = pre * 0.5j * p.gamma21 / y
-    a = np.empty(np.shape(y) + (2, 2), dtype=complex)
-    a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1] = a11, a12, a21, a22
+    a = np.empty(np.shape(control) + (2, 2), dtype=complex)
+    for j, unit in enumerate(units):
+        pair = steady_coherences(p, control, *unit)
+        for i, row in enumerate(rows):
+            a[..., i, j] = pre * getattr(pair, row)
     # the state starts at (boundary, 0): only the first column of the power acts
     m = rk4_power(a, p.length / steps, int(steps))
     u = np.asarray(boundary, dtype=complex)
@@ -168,11 +165,6 @@ def _shared_grid(*fields: ComplexField):
         if f.grid is not grid and not f.grid.same_as(grid):
             raise GridMismatchError("control and probe fields must share one grid")
     return grid
-
-
-def _points(*arrays) -> tuple:
-    """Hashable exact key of point arrays: the dtype, shape and bytes of each."""
-    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, arrays))
 
 
 def _exit_faces(p: MediumParams, control, probe_p, probe_s) -> dict:
@@ -188,6 +180,32 @@ def _exit_faces(p: MediumParams, control, probe_p, probe_s) -> dict:
         "omega_fs": q.generated,
         "omega_s": s.primary,
         "omega_p": q.primary,
+    }
+
+
+def _plus(a, b) -> dict:
+    """Orders of the sum of two single-order terms (k, R_k); one k sums its parts."""
+    (ka, ra), (kb, rb) = a, b
+    return {ka: lambda r: ra(r) + rb(r)} if ka == kb else {ka: ra, kb: rb}
+
+
+def _output_orders(p: MediumParams, inputs) -> dict:
+    """Output orders of inputs (control, probe_p, probe_s); {} unless each has one."""
+    if any(f.orders is None or len(f.orders) != 1 for f in inputs):
+        return {}
+    [(lc, c)], [(lp, pp)], [(ls, ps)] = (f.orders.items() for f in inputs)
+
+    def face(name):
+        return lambda r: _exit_faces(p, c(r), pp(r), ps(r))[name]
+
+    fp, fs = face("omega_fp"), face("omega_fs")
+    return {
+        "omega_d": _plus((lp, pp), (ls - lc, fp)),
+        "omega_u": _plus((ls, ps), (lc + lp, fs)),
+        "omega_fp": {ls - lc: fp},
+        "omega_fs": {lc + lp: fs},
+        "omega_s": {ls: face("omega_s")},
+        "omega_p": {lp: face("omega_p")},
     }
 
 
@@ -208,27 +226,19 @@ def output_fields(
 
     omega_fp, omega_fs, omega_s and omega_p are the propagated constituents
     at their exit faces, the generated fields and the transmitted probes.
-    Propagation is per pixel, so each output's at applies the same formula
-    to its inputs' at; an output has no at when an input has none.
+
+    Propagation is per pixel and sees the control only through
+    |control|^2, so inputs of one angular order each (lc, lp, ls) give
+    outputs of the orders below, each radial part being the same formula
+    applied to the inputs' radial parts (coinciding orders add):
+
+        omega_fp {ls - lc}    omega_s {ls}    omega_d {lp, ls - lc}
+        omega_fs {lc + lp}    omega_p {lp}    omega_u {ls, lc + lp}
+
+    Otherwise the outputs have no orders.
     """
     inputs = (control_field, probe_p, probe_s)
     grid = _shared_grid(*inputs)
     values = _exit_faces(p, *(f.values for f in inputs))
-    ats = tuple(f.at for f in inputs)
-
-    # the six outputs share one read-only evaluation per point set; the last
-    # two sets stay kept, so a ring scan survives while each sampling ring is read
-    @lru_cache(maxsize=2)
-    def faces(points):
-        r, theta = (np.frombuffer(raw, dtype).reshape(shape) for dtype, shape, raw in points)
-        out = _exit_faces(p, *(at(r, theta) for at in ats))
-        for v in out.values():
-            v.setflags(write=False)
-        return out
-
-    def evaluator(name):
-        if any(at is None for at in ats):
-            return None
-        return lambda r, theta: faces(_points(r, theta))[name]
-
-    return {name: ComplexField(grid, v, evaluator(name)) for name, v in values.items()}
+    orders = _output_orders(p, inputs)
+    return {name: ComplexField(grid, v, orders.get(name)) for name, v in values.items()}

@@ -61,12 +61,11 @@ def _metric_or_blank(fn):
 def sampling_radius(cfg: RunConfig, field: ComplexField, ring=None):
     """Sampling ring: analysis.radius if pinned, else the brightest ring of field.
 
-    The scan samples cfg.ring_angles() angles per ring; ring, if given, is
-    its result (field_metrics passes its blank).
+    ring, if given, is that ring already found (field_metrics passes its blank).
     """
     if cfg.ring_radius is not None:
         return cfg.ring_radius
-    return analysis.ring_radius(field, cfg.ring_angles()) if ring is None else ring
+    return analysis.ring_radius(field) if ring is None else ring
 
 
 def field_metrics(
@@ -77,7 +76,7 @@ def field_metrics(
     Blanks mark undefined observables.  The brightest ring is found once:
     it is the ring_radius column and, unless pinned, the sampling ring.
     """
-    ring = _metric_or_blank(lambda: analysis.ring_radius(field, cfg.ring_angles()))
+    ring = _metric_or_blank(lambda: analysis.ring_radius(field))
     radius = sampling_radius(cfg, field, ring)
     row = dict.fromkeys(METRIC_COLUMNS, "")
     row.update(field=name, radius=radius, ring_radius=ring)
@@ -86,9 +85,7 @@ def field_metrics(
     profile = _metric_or_blank(lambda: analysis.azimuthal_profile(field, radius, cfg.profile_m))
     if profile == "":
         return row, None
-    row["winding"] = _metric_or_blank(
-        lambda: analysis.winding_number(field, radius, cfg.profile_m)
-    )
+    row["winding"] = _metric_or_blank(lambda: analysis.winding_number(field, radius))
     row["petal_count"] = _metric_or_blank(lambda: analysis.petal_count(profile))
     row["peak_angle"] = _metric_or_blank(lambda: analysis.peak_angle(profile))
     return row, profile

@@ -80,8 +80,11 @@ def test_validation_resolution_scales_with_charge():
     high = dataclasses.replace(cfg, control=dataclasses.replace(cfg.control, tc=5))
     with pytest.raises(InvalidConfigError, match="charge 5"):
         validate_config(high)  # 32 < 8 * (5 + 1)
-    with pytest.raises(InvalidConfigError, match="analysis.m"):
-        validate_config(dataclasses.replace(high, grid_n=64, profile_m=90))
+    # the ring metrics are exact at any sample count, so analysis.m has one floor, 16
+    resolved = dataclasses.replace(high, grid_n=64)
+    assert validate_config(dataclasses.replace(resolved, profile_m=16)).profile_m == 16
+    with pytest.raises(InvalidConfigError, match="analysis.m must be an integer >= 16, got 15"):
+        validate_config(dataclasses.replace(resolved, profile_m=15))
 
 
 def test_weak_probe_warning():
@@ -354,6 +357,13 @@ def test_cli_rejects_analysis_m_over_ceiling(tmp_path, capsys):
     doc = _small_doc(analysis={"radius": "auto", "m": 65537})
     _cli_rejects(tmp_path, capsys, doc, "analysis.m = 65537 exceeds the ceiling 65536")
     assert parse_config(_small_doc(analysis={"radius": "auto", "m": 65536})).profile_m == 65536
+
+
+def test_cli_rejects_analysis_m_under_16(tmp_path, capsys):
+    doc = _small_doc(control={"epsilon": 4.0, "tc": 3}, analysis={"radius": "auto", "m": 15})
+    _cli_rejects(tmp_path, capsys, doc, "analysis.m must be an integer >= 16, got 15")
+    doc["analysis"]["m"] = 16  # enough at any charge: the ring metrics do not sample
+    assert parse_config(doc).profile_m == 16
 
 
 def test_cli_rejects_non_finite_extent(tmp_path, capsys):

@@ -189,20 +189,21 @@ def _counting_exit_faces(monkeypatch):
     return calls
 
 
-def test_pinned_ring_cell_evaluates_the_closed_form_three_times(tmp_path, monkeypatch):
+@pytest.mark.parametrize("ring", ["pinned", "auto"])
+def test_ring_reads_evaluate_one_point_per_radius(tmp_path, monkeypatch, ring):
     calls = _counting_exit_faces(monkeypatch)
-    run_config(_interference_base(CRESCENT_DEPTH, ("images", "metrics")), tmp_path / "fig4_cell")
-    # the grid, the brightest-ring scan of all four fields, and the pinned ring
-    assert len(calls) == 3
-
-
-def test_auto_ring_run_evaluates_once_per_sampling_radius(tmp_path, monkeypatch):
-    calls = _counting_exit_faces(monkeypatch)
-    run_config(load_config(CONFIGS / "transfer.json"), tmp_path / "run")
-    with open(tmp_path / "run" / "metrics.csv", newline="") as fh:
-        radii = {row["radius"] for row in csv.DictReader(fh)}
-    assert len(radii) > 1
-    assert len(calls) == 2 + len(radii)
+    if ring == "pinned":
+        cfg = _interference_base(CRESCENT_DEPTH, ("images", "metrics"))
+    else:
+        cfg = load_config(CONFIGS / "transfer.json")
+    run_config(cfg, tmp_path / "run")
+    step = 2.0 * cfg.grid_extent / (cfg.grid_n - 1)
+    scan = np.arange(0.0, cfg.grid_extent + 0.25 * step, 0.5 * step).size
+    # the grid once; every ring read takes the formula once per radius, never per angle
+    sizes = sorted(np.size(control) for _p, control, _probe_p, _probe_s in calls)
+    assert sizes[-1] == cfg.grid_n**2
+    assert sizes[-2] == scan
+    assert set(sizes[:-1]) == {1, scan}
 
 
 def _assert_manifest_lists_the_files(out: Path):
@@ -288,11 +289,11 @@ def test_crescent_flips_are_sign_changes_of_the_rk4_oracle(depth, flip_steps):
     times a real factor, sin(beta x)/beta damped; the RK4 oracle, not the
     closed form, finds its sign, and it changes exactly where peak_d flips."""
     base = replace(_interference_base(depth, ("metrics",)), grid_n=33)
-    r, theta = np.array(base.ring_radius), np.array(0.0)
-    b0 = sample_lg(base.probe_p, make_grid(base.grid_n, base.grid_extent)).at(r, theta)
+    grid, r = make_grid(base.grid_n, base.grid_extent), np.array(base.ring_radius)
+    b0 = sample_lg(base.probe_p, grid).orders[base.probe_p.tc](r)  # the ring at theta = 0
     signs = []
     for _label, cfg in _sweep_cells(base, "amp", CONTROL_AMPLITUDES):
-        c = sample_lg(cfg.control, make_grid(cfg.grid_n, cfg.grid_extent)).at(r, theta)
+        c = sample_lg(cfg.control, grid).orders[cfg.control.tc](r)
         state = integrate_channel_numeric(cfg.medium, c, b0, "p", 1000)
         factor = complex(state.generated / (-1j * c * b0))
         assert abs(factor.imag) <= 1e-9 * abs(factor), (cfg.control.epsilon, factor)

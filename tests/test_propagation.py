@@ -1,12 +1,9 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortex_twm import propagation, verify
+from vortex_twm import medium, propagation, verify
 from vortex_twm.beams import ComplexField, LGBeamSpec, make_grid, sample_lg
 from vortex_twm.errors import (
     DegenerateMediumError,
@@ -14,7 +11,7 @@ from vortex_twm.errors import (
     InvalidConfigError,
     StepCountError,
 )
-from vortex_twm.medium import MediumParams, beta_factor, y_factor
+from vortex_twm.medium import CoherencePair, MediumParams, beta_factor, y_factor
 from vortex_twm.propagation import (
     SERIES_SWITCH,
     ChannelState,
@@ -166,6 +163,27 @@ def test_channel_oracle_catches_sign_flip(monkeypatch):
     assert verify.channel_oracle_error(64, 1000) >= 1e-3
 
 
+@pytest.mark.parametrize("coherence", ["rho31", "rho21"])
+def test_flipped_cross_term_fails_kernel_and_channel_oracle(monkeypatch, coherence):
+    # the oracle's coefficients come from the medium: a sign flipped on one
+    # cross term of steady_coherences must fail both the kernel and the oracle
+    original = medium.steady_coherences
+
+    def flipped(p, control, probe_p_total, probe_s_total):
+        pair = original(p, control, probe_p_total, probe_s_total)
+        y = y_factor(p, control)
+        if coherence == "rho31":  # - control probe_p / 4Y becomes + control probe_p / 4Y
+            return CoherencePair(pair.rho31 + 0.5 * control * probe_p_total / y, pair.rho21)
+        return CoherencePair(pair.rho31, pair.rho21 + 0.5 * np.conj(control) * probe_s_total / y)
+
+    assert verify.steady_kernel_error(25) <= 1e-12
+    assert verify.channel_oracle_error(64, 1000) <= 1e-7
+    monkeypatch.setattr(verify, "steady_coherences", flipped)
+    monkeypatch.setattr(propagation, "steady_coherences", flipped)
+    assert verify.steady_kernel_error(25) >= 1e-3
+    assert verify.channel_oracle_error(64, 1000) >= 1e-3
+
+
 @given(
     gamma21=st.floats(min_value=0.01, max_value=1.0),
     delta=st.floats(min_value=-9.0, max_value=9.0),
@@ -216,25 +234,50 @@ def test_output_fields_zero_control_passthrough():
     probe_p = sample_lg(LGBeamSpec(0.004, 1), g)
     probe_s = sample_lg(LGBeamSpec(0.003, 0), g)
 
-    def dark(r, theta):
-        return np.zeros(np.broadcast(r, theta).shape)
-
-    zero = ComplexField(g, np.zeros((32, 32)), dark)
+    zero = ComplexField(g, np.zeros((32, 32)), {0: lambda r: np.zeros(np.shape(r))})
     out = output_fields(CANON, zero, probe_p, probe_s)
     assert np.array_equal(out["omega_d"].values, probe_p.values)
     assert np.array_equal(out["omega_u"].values, probe_s.values)
-    r, theta = 0.7, np.linspace(0.0, 6.0, 7)
-    assert np.array_equal(out["omega_d"].at(r, theta), probe_p.at(r, theta))
-    assert np.array_equal(out["omega_u"].at(r, theta), probe_s.at(r, theta))
+    # each output keeps its probe's order and gains a dark generated one
+    r = np.linspace(0.0, 3.0, 7)
+    assert sorted(out["omega_d"].orders) == [0, 1]
+    assert np.array_equal(out["omega_d"].orders[1](r), probe_p.orders[1](r))
+    assert np.array_equal(out["omega_u"].orders[0](r), probe_s.orders[0](r))
+    assert not np.any(out["omega_d"].orders[0](r)) and not np.any(out["omega_u"].orders[1](r))
+
+
+def _order_sum(field, grid):
+    return sum(radial(grid.r) * np.exp(1j * k * grid.theta) for k, radial in field.orders.items())
 
 
 @pytest.mark.parametrize("n", [256, 257])
 def test_values_are_the_closed_form_on_the_grid(n):
+    # values is the order sum on the grid, to rounding; the last two charge
+    # sets make orders coincide (lp = ls - lc and ls = lc + lp)
     g = make_grid(n, 3.0)
-    inputs = [sample_lg(LGBeamSpec(eps, tc), g) for eps, tc in ((4.0, 2), (0.005, 1), (0.003, 0))]
-    out = output_fields(MediumParams(1.0, 0.05, 1.5, 8.0), *inputs)
-    for f in [*inputs, *out.values()]:
-        assert np.array_equal(f.values, f.at(g.r, g.theta))
+    for lc, lp, ls in ((2, 1, 0), (-2, -1, 1), (-3, 2, -1), (1, 0, 1), (-1, 1, 0)):
+        charges = ((4.0, lc), (0.005, lp), (0.003, ls))
+        inputs = [sample_lg(LGBeamSpec(eps, tc), g) for eps, tc in charges]
+        out = output_fields(MediumParams(1.0, 0.05, 1.5, 8.0), *inputs)
+        want = {
+            "control": {lc}, "probe_p": {lp}, "probe_s": {ls},
+            "omega_d": {lp, ls - lc}, "omega_u": {ls, lc + lp}, "omega_fp": {ls - lc},
+            "omega_fs": {lc + lp}, "omega_s": {ls}, "omega_p": {lp},
+        }
+        for name, f in [*zip(("control", "probe_p", "probe_s"), inputs), *out.items()]:
+            assert set(f.orders) == want[name]
+            peak = float(np.max(np.abs(f.values)))
+            err = float(np.max(np.abs(_order_sum(f, g) - f.values)))
+            assert err <= 1e-12 * peak, (lc, lp, ls, name, err / peak)
+
+
+def test_outputs_of_multi_order_inputs_have_no_orders():
+    g = make_grid(32, 3.0)
+    ctrl, probe = sample_lg(LGBeamSpec(4.0, 1), g), sample_lg(LGBeamSpec(0.005, 0), g)
+    two = ComplexField(g, probe.values, {0: probe.orders[0], 2: probe.orders[0]})
+    bare = ComplexField(g, probe.values)
+    for inputs in ((ctrl, two, probe), (ctrl, probe, bare), (bare, probe, probe)):
+        assert all(f.orders is None for f in output_fields(CANON, *inputs).values())
 
 
 def test_output_fields_composition_identities():
@@ -292,99 +335,6 @@ def test_channel_power_decays_at_zero_detuning():
             power = abs(s.primary) ** 2 + abs(s.generated) ** 2
             assert power <= power_prev * (1.0 + 1e-14)
             power_prev = power
-
-
-# ------------------------------------------------- shared closed-form reads
-
-
-INTERFERENCE = MediumParams(1.0, 0.05, 0.0, 8.0)
-
-
-def _interference_inputs():
-    g = make_grid(33, 3.0)
-    return [sample_lg(LGBeamSpec(eps, 1), g) for eps in (4.0, 0.005, 0.005)]
-
-
-def _fresh(inputs, name, r, theta):
-    """One output at (r, theta) from its formula, bypassing any shared evaluation."""
-    return propagation._exit_faces(INTERFERENCE, *(f.at(r, theta) for f in inputs))[name]
-
-
-def test_shared_reads_equal_fresh_evaluations():
-    inputs = _interference_inputs()
-    out = output_fields(INTERFERENCE, *inputs)
-    thetas = 2.0 * np.pi * np.arange(32) / 32
-    scan = np.arange(0.0, 3.0, 0.1)[:, None]
-    # interleaved point sets, more than are kept: scans, rings, scalars, a
-    # float32 copy of a ring (equal values, other bytes) and the grid itself
-    reads = [
-        (scan, thetas), (0.7, thetas), (scan, thetas), (1.1, thetas), (0.7, thetas),
-        (0.25, 1.5), (scan, thetas), (0.25, 1.5), (np.float32(0.7), thetas.astype(np.float32)),
-        (0.7, thetas), (inputs[0].grid.r, inputs[0].grid.theta), (0.25, 1.5), (scan, thetas),
-    ]
-    for r, theta in reads:
-        for name, field in out.items():
-            got, want = field.at(r, theta), _fresh(inputs, name, r, theta)
-            assert np.shape(got) == np.shape(want)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-def test_shared_reads_are_read_only():
-    out = output_fields(INTERFERENCE, *_interference_inputs())
-    thetas = np.linspace(0.0, 6.0, 16)
-    ring = out["omega_d"].at(0.7, thetas)
-    before = ring.copy()
-    with pytest.raises(ValueError, match="read-only"):
-        ring[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        ring *= 2.0
-    assert np.array_equal(out["omega_d"].at(0.7, thetas), before)
-
-
-def test_closed_form_is_evaluated_once_per_point_set(monkeypatch):
-    inputs = _interference_inputs()
-    out = output_fields(INTERFERENCE, *inputs)
-    calls = []
-    real = propagation._exit_faces
-    monkeypatch.setattr(propagation, "_exit_faces", lambda *a: calls.append(a) or real(*a))
-    thetas = 2.0 * np.pi * np.arange(32) / 32
-    scan = np.arange(0.0, 3.0, 0.1)[:, None]
-    for radius in (0.5, 0.5, 0.9, 0.9, 0.5):
-        for field in out.values():
-            field.at(scan, thetas)
-            field.at(radius, thetas)
-    # the scan stays kept while each ring is read; 0.5 is read again after 0.9 evicted it
-    assert len(calls) == 4
-
-
-def test_threads_read_distinct_rings_of_shared_fields():
-    inputs = _interference_inputs()
-    out = output_fields(INTERFERENCE, *inputs)
-    thetas = 2.0 * np.pi * np.arange(64) / 64
-    radii = (0.3, 0.6, 0.9, 1.2, 1.5, 1.8)
-    want = {(name, r): _fresh(inputs, name, r, thetas) for name in out for r in radii}
-    bad, done = [], []
-
-    def reader(r):
-        for _ in range(40):
-            for name, field in out.items():
-                if not np.array_equal(field.at(r, thetas), want[name, r]):
-                    bad.append((name, r))
-        done.append(r)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=reader, args=(r,)) for r in radii]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(done) == list(radii)
-    assert bad == []
 
 
 # ------------------------------------------------------- channel factor oracle
