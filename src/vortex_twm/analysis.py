@@ -73,12 +73,11 @@ def winding_number(field: ComplexField, radius: float | None = None) -> int:
     if radius is None:
         radius = ring_radius(field)
     radius = _check_radius(field, radius)
-    peak = float(np.max(np.abs(field.values)))
-    if peak == 0.0:
+    if field.peak == 0.0:
         raise AmplitudeFloorError("zero field has no phase to wind")
     mags = {k: float(abs(a)) for k, a in _amplitudes(field, radius).items()}
     top = max(mags, key=mags.get)
-    if 2.0 * mags[top] - sum(mags.values()) < AMPLITUDE_FLOOR * peak:
+    if 2.0 * mags[top] - sum(mags.values()) < AMPLITUDE_FLOOR * field.peak:
         raise AmplitudeFloorError(
             f"no order outweighs the rest of the ring by {AMPLITUDE_FLOOR} of the field maximum"
         )
@@ -150,7 +149,7 @@ def ring_radius(field: ComplexField) -> float:
     g = field.grid
     if g.n < 2:
         raise OutOfGridError(f"a single-sample grid (n={g.n}) has no rings to scan")
-    if float(np.max(np.abs(field.values))) == 0.0:
+    if field.peak == 0.0:
         raise ZeroFieldError("ring radius undefined for an all-zero field")
     radii = np.arange(0.0, g.extent + 0.25 * g.step, 0.5 * g.step)
     means = sum(np.abs(a) ** 2 for a in _amplitudes(field, radii).values())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -103,6 +103,11 @@ class ComplexField:
             )
         if not np.all(np.isfinite(self.values.view(float))):
             raise InvalidConfigError("field contains non-finite values")
+
+    @cached_property
+    def peak(self) -> float:
+        """Largest amplitude |value| on the grid, scanned once per field."""
+        return float(np.max(np.abs(self.values)))
 
 
 def _lg(spec: LGBeamSpec, r, theta):

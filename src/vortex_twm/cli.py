@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: fields, figure, sweep, profile, verify.  Exit codes: 0 on
+Subcommands: fields, figure, sweep, verify.  Exit codes: 0 on
 success, 1 for invalid configuration or arguments, 2 for I/O failures,
 3 when verification fails.  Argument errors are routed through the same
 invalid-config path so the exit-code contract holds for malformed command
@@ -10,24 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .analysis import azimuthal_profile
 from .config import load_config
 from .errors import InvalidConfigError, VerificationError, VortexTwmError
 from .figures import FIGURE_IDS, SWEEP_PARAMS, reproduce_figure, run_sweep
-from .render import write_profile_csv
-from .runner import compute_fields, run_config, sampling_radius, write_manifest
+from .runner import run_config
 from .verify import ensure_passing, print_report, run_verify
-
-PROFILE_FIELDS = {
-    "d": "omega_d",
-    "u": "omega_u",
-    "fp": "omega_fp",
-    "fs": "omega_fs",
-    "p": "omega_p",
-    "s": "omega_s",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,34 +67,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    if args.field not in PROFILE_FIELDS:
-        raise InvalidConfigError(
-            f"--field must be one of {sorted(PROFILE_FIELDS)}, got {args.field!r}"
-        )
-    cfg = load_config(args.config)
-    name = PROFILE_FIELDS[args.field]
-    field = compute_fields(cfg)[name]
-    if args.radius == "auto":
-        radius = sampling_radius(cfg, field)
-    else:
-        try:
-            radius = float(args.radius)
-        except ValueError:
-            raise InvalidConfigError(
-                f"--radius must be 'auto' or a number, got {args.radius!r}"
-            ) from None
-    profile = azimuthal_profile(field, radius, cfg.profile_m)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"profile_{name}.csv"
-    write_profile_csv(profile, path)
-    payload = {"profile": {"field": name, "radius": radius, "m": cfg.profile_m}}
-    write_manifest(out_dir, payload, [path])
-    print(f"profile of {name} at radius {radius:g}: wrote {path}")
-    return 0
-
-
 def _cmd_verify(args) -> int:
     results = run_verify(args.level)
     print_report(results)
@@ -134,15 +94,6 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--config", required=True, help="JSON run configuration")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.set_defaults(handler=_cmd_sweep)
-
-    p_profile = sub.add_parser("profile", help="write one field's azimuthal intensity profile")
-    p_profile.add_argument(
-        "--field", required=True, help=f"one of {', '.join(sorted(PROFILE_FIELDS))}"
-    )
-    p_profile.add_argument("--radius", default="auto", help="'auto' or ring radius in waists")
-    p_profile.add_argument("--config", required=True, help="JSON run configuration")
-    p_profile.add_argument("--out", required=True, help="output directory")
-    p_profile.set_defaults(handler=_cmd_profile)
 
     p_verify = sub.add_parser("verify", help="run the oracle self-check suites")
     p_verify.add_argument("--level", default="fast", help="fast or full")

@@ -5,8 +5,8 @@ the resultant output fields, and writes the requested products:
 
     fields    CSV dumps of the six computed fields
     images    PGM intensity and PPM phase maps of the six computed fields
-    profiles  azimuthal intensity CSVs of the four observable fields
-    metrics   one CSV row of observables per field
+    profiles  azimuthal intensity CSVs of the six computed fields
+    metrics   one CSV row of observables per computed field
 
 The manifest (manifest.json) echoes the exact configuration and lists
 every written file with its size and SHA-256, so a run is reproducible
@@ -29,16 +29,12 @@ __all__ = [
     "run_config",
     "compute_fields",
     "write_products",
-    "sampling_radius",
     "field_metrics",
     "analyse",
     "write_metrics_csv",
     "write_manifest",
 ]
 
-# the four fields whose rings carry the observables; the transmitted
-# probes are dumped and imaged but yield no ring metrics by default
-PROFILED = ("omega_d", "omega_u", "omega_fp", "omega_fs")
 METRIC_COLUMNS = ("field", "radius", "winding", "petal_count", "peak_angle", "ring_radius")
 
 
@@ -58,26 +54,17 @@ def _metric_or_blank(fn):
         return ""
 
 
-def sampling_radius(cfg: RunConfig, field: ComplexField, ring=None):
-    """Sampling ring: analysis.radius if pinned, else the brightest ring of field.
-
-    ring, if given, is that ring already found (field_metrics passes its blank).
-    """
-    if cfg.ring_radius is not None:
-        return cfg.ring_radius
-    return analysis.ring_radius(field) if ring is None else ring
-
-
 def field_metrics(
     name: str, field: ComplexField, cfg: RunConfig
 ) -> tuple[dict, analysis.AzimuthalProfile | None]:
     """Observable row and ring profile (None without a ring) of one field.
 
     Blanks mark undefined observables.  The brightest ring is found once:
-    it is the ring_radius column and, unless pinned, the sampling ring.
+    it is the ring_radius column and, unless analysis.radius pins one, the
+    sampling ring.
     """
     ring = _metric_or_blank(lambda: analysis.ring_radius(field))
-    radius = sampling_radius(cfg, field, ring)
+    radius = ring if cfg.ring_radius is None else cfg.ring_radius
     row = dict.fromkeys(METRIC_COLUMNS, "")
     row.update(field=name, radius=radius, ring_radius=ring)
     if radius == "":
@@ -137,8 +124,8 @@ def run_config(cfg: RunConfig, out_dir) -> dict:
 
 
 def analyse(cfg: RunConfig, fields: dict[str, ComplexField]) -> dict:
-    """field_metrics (row, profile) of every PROFILED field, keyed by name."""
-    return {name: field_metrics(name, fields[name], cfg) for name in PROFILED}
+    """field_metrics (row, profile) of every computed field, keyed by name."""
+    return {name: field_metrics(name, field, cfg) for name, field in fields.items()}
 
 
 def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField], analysed=None) -> dict:

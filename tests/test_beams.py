@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortex_twm.beams import ComplexField, Grid2D, LGBeamSpec, make_grid, sample_lg
+from vortex_twm.config import load_config
 from vortex_twm.errors import InvalidConfigError
+from vortex_twm.runner import compute_fields
 
 
 def test_make_grid_small_axis():
@@ -146,3 +150,13 @@ def test_degenerate_grid_constructible_directly():
     # (render round-trip tests use them)
     g = Grid2D(axis=np.array([0.0]), extent=0.0)
     assert g.n == 1 and g.step == 0.0
+
+
+def test_peak_is_the_largest_amplitude_of_each_output():
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "transfer.json")
+    fields = compute_fields(cfg)
+    assert len(fields) == 6
+    for field in fields.values():
+        want = np.max(np.abs(field.values))
+        assert field.peak == want and type(field.peak) is float
+        assert field.peak is field.peak  # scanned once, then cached

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import dataclasses
 import json
 import os
+import re
 import tempfile
 import threading
 import warnings
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vortex_twm import cli
+from vortex_twm.analysis import azimuthal_profile
 from vortex_twm._parallel import map_items
 from vortex_twm.config import (
     RunConfig,
@@ -26,7 +29,8 @@ from vortex_twm.config import (
 from vortex_twm.errors import InvalidConfigError
 from vortex_twm.figures import CRESCENT_DEPTH, FIGURE_IDS, PETAL_DEPTH
 from vortex_twm.figures import _interference_base, _transfer_base
-from vortex_twm.runner import file_sha256, run_config
+from vortex_twm.render import write_profile_csv
+from vortex_twm.runner import compute_fields, file_sha256, run_config
 from vortex_twm.verify import SuiteResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,6 +127,17 @@ def test_readme_config_is_the_canonical_run():
     assert config_to_dict(parse_config(doc)) == doc
     assert doc == config_to_dict(default_config())
     assert doc == config_to_dict(load_config(CONFIGS / "transfer.json"))
+
+
+def test_readme_quickstart_runs_every_subcommand():
+    """README's Quickstart shows each subcommand and no other."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    quickstart = text.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    shown = set(re.findall(r"^python3 -m vortex_twm (\S+)", quickstart, flags=re.MULTILINE))
+    [subparsers] = [
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert shown == set(subparsers.choices)
 
 
 @pytest.mark.parametrize(
@@ -434,34 +449,52 @@ def test_cli_sweep_happy_path(tmp_path):
     assert manifest["sweep"]["values"] == [0.0, 3.0]
 
 
-def test_cli_profile_happy_path(tmp_path):
-    path = _write_doc(tmp_path, _small_doc())
+def test_cli_fields_profiles_every_field_on_a_pinned_ring(tmp_path):
+    # the one way to profile a field at a chosen ring: pin analysis.radius
+    doc = _small_doc(outputs=["profiles"], analysis={"radius": 1.0, "m": 720})
+    path = _write_doc(tmp_path, doc)
     out = tmp_path / "prof"
-    assert cli.main(["profile", "--config", str(path), "--field", "d",
-                     "--out", str(out)]) == 0
-    lines = (out / "profile_omega_d.csv").read_text().splitlines()
-    assert lines[0] == "theta,intensity"
-    assert len(lines) == 721
+    assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 0
+    cfg = load_config(path)
+    fields = compute_fields(cfg)
+    written = sorted((out / "profiles").iterdir())
+    assert [p.name for p in written] == sorted(f"{name}_profile.csv" for name in fields)
+    for name, field in fields.items():
+        want = tmp_path / f"want_{name}.csv"
+        write_profile_csv(azimuthal_profile(field, 1.0, cfg.profile_m), want)
+        got = (out / "profiles" / f"{name}_profile.csv").read_bytes()
+        assert got == want.read_bytes()
+        assert len(got.decode().splitlines()) == 721
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == config_to_dict(cfg)
 
 
-def test_cli_profile_argument_errors(tmp_path):
-    path = _write_doc(tmp_path, _small_doc())
-    out = str(tmp_path / "p")
-    assert cli.main(["profile", "--config", str(path), "--field", "q", "--out", out]) == 1
-    assert cli.main(["profile", "--config", str(path), "--field", "d",
-                     "--radius", "wide", "--out", out]) == 1
-    assert cli.main(["profile", "--config", str(path), "--field", "d",
-                     "--radius", "9.0", "--out", out]) == 1
-
-
-def test_cli_profile_without_ring_fails(tmp_path, capsys):
+def test_cli_fields_dark_control_has_no_generated_ring(tmp_path, capsys):
     # a dark control generates nothing, so omega_fp has no ring to sample
-    path = _write_doc(tmp_path, _small_doc(control={"epsilon": 0.0, "tc": 1}))
+    path = _write_doc(tmp_path, _small_doc(
+        control={"epsilon": 0.0, "tc": 1}, outputs=["profiles", "metrics"]
+    ))
     out = tmp_path / "p"
-    assert cli.main(["profile", "--config", str(path), "--field", "fp",
-                     "--out", str(out)]) == 1
+    assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "profiles" / "omega_fp_profile.csv").exists()
+    assert (out / "profiles" / "omega_p_profile.csv").exists()
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = {row["field"]: row for row in csv.DictReader(fh)}
+    assert len(rows) == 6
+    assert rows["omega_fp"]["radius"] == rows["omega_fp"]["ring_radius"] == ""
+    assert rows["omega_fp"]["winding"] == rows["omega_fp"]["peak_angle"] == ""
+
+
+def test_cli_profile_subcommand_is_gone(tmp_path, capsys):
+    path = _write_doc(tmp_path, _small_doc())
+    out = tmp_path / "p"
+    argv = ["profile", "--field", "d", "--config", str(path), "--out", str(out)]
+    assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    for command in ("fields", "figure", "sweep", "verify"):
+        assert repr(command) in err
     assert not out.exists()
 
 
@@ -631,7 +664,8 @@ def _cli_argv(draw):
     if broken:
         config = draw(st.sampled_from(["config.json", "missing.json", "."]))
         out = draw(st.sampled_from(["out", "config.json"]))  # an existing file is no directory
-    command = draw(st.sampled_from(["fields", "figure", "sweep", "profile", "verify"]))
+    # "profile" names no subcommand: the parser must reject it with exit 1
+    command = draw(st.sampled_from(["fields", "figure", "sweep", "verify", "profile"]))
     if command == "fields":
         argv = ["fields", "--config", config, "--out", out]
     elif command == "figure":
@@ -641,12 +675,10 @@ def _cli_argv(draw):
         param = draw(st.sampled_from(["delta", "lc", "amp", "tc"]))
         values = f"--values={draw(_VALUES)}"
         argv = ["sweep", "--param", param, values, "--config", config, "--out", out]
-    elif command == "profile":
-        field = draw(st.sampled_from(["d", "u", "fp", "fs", "p", "s", "x"]))
-        radius = draw(st.one_of(st.just("auto"), _NUMBER_TEXT))
-        argv = ["profile", "--field", field, "--radius", radius, "--config", config, "--out", out]
-    else:
+    elif command == "verify":
         argv = ["verify", "--level", draw(st.one_of(st.just("fast"), _TOKEN))]
+    else:
+        argv = [command, "--config", config, "--out", out]
     for _ in range(draw(st.integers(0, 2)) if broken else 0):
         at = draw(st.integers(0, len(argv)))
         if draw(st.booleans()) and at < len(argv):

@@ -16,6 +16,7 @@ from vortex_twm.figures import (
     CRESCENT_DEPTH,
     DETUNING_SWEEP,
     FIGURE_IDS,
+    PETAL_DEPTH,
     SWEEP_PARAMS,
     _interference_base,
     _pinned_radius,
@@ -100,7 +101,7 @@ def test_sweep_amp_axis(tmp_path):
     assert (out / "amp_0" / "metrics.csv").exists()
     lines = (out / "metrics.csv").read_text().splitlines()
     assert lines[0] == "amp,field,radius,winding,petal_count,peak_angle,ring_radius"
-    assert len(lines) == 1 + 2 * 4  # one row per output field per value
+    assert len(lines) == 1 + 2 * 6  # one row per output field per value
     by_key = {}
     for line in lines[1:]:
         cells = line.split(",")
@@ -161,15 +162,15 @@ def test_run_config_finds_each_ring_once(tmp_path, monkeypatch):
     assert {"profiles", "metrics"} <= set(cfg.outputs)
     run_config(cfg, tmp_path / "run")
     # one brightest-ring search per analysed field, shared by profiles and metrics
-    assert len(calls) == 4
-    assert len(list((tmp_path / "run" / "profiles").iterdir())) == 4
+    assert len(calls) == 6
+    assert len(list((tmp_path / "run" / "profiles").iterdir())) == 6
 
 
 def test_fig3_table_reads_cell_metrics(tmp_path, monkeypatch):
     calls = _counting_ring_radius(monkeypatch)
     out = tmp_path / "fig3"
     manifest = reproduce_figure("fig3", out)
-    assert len(calls) == 4 * len(manifest["cells"])
+    assert len(calls) == 6 * len(manifest["cells"])
     with open(out / "metrics.csv", newline="") as fh:
         table = list(csv.DictReader(fh))
     assert len(table) == len(manifest["cells"])
@@ -180,6 +181,20 @@ def test_fig3_table_reads_cell_metrics(tmp_path, monkeypatch):
         for key in ("fp", "fs"):
             assert line[f"winding_{key}"] == cell[f"omega_{key}"]["winding"]
             assert line[f"ring_{key}"] == cell[f"omega_{key}"]["ring_radius"]
+
+
+@pytest.mark.parametrize("case", ["transfer.json", "interference.json", "fig6"])
+def test_transmitted_probes_keep_their_charge(tmp_path, case):
+    if case == "fig6":
+        base = _interference_base(PETAL_DEPTH, ("metrics",))
+        [(_label, cfg)] = _sweep_cells(base, "lc", [3])
+    else:
+        cfg = replace(load_config(CONFIGS / case), outputs=("metrics",))
+    run_config(cfg, tmp_path / "run")
+    with open(tmp_path / "run" / "metrics.csv", newline="") as fh:
+        windings = {row["field"]: row["winding"] for row in csv.DictReader(fh)}
+    assert windings["omega_p"] == str(cfg.probe_p.tc)
+    assert windings["omega_s"] == str(cfg.probe_s.tc)
 
 
 def _counting_exit_faces(monkeypatch):
