@@ -13,7 +13,7 @@ from .analysis import (
     winding_number,
 )
 from .beams import ComplexField, Grid2D, LGBeamSpec, make_grid, sample_lg
-from .config import RunConfig, default_config, load_config, parse_config, validate_config
+from .config import RunConfig, default_config, load_config, parse_config
 from .errors import VortexTwmError
 from .figures import reproduce_figure, run_sweep
 from .medium import (
@@ -67,7 +67,6 @@ __all__ = [
     "solve_channel_p",
     "solve_channel_s",
     "steady_coherences",
-    "validate_config",
     "winding_number",
     "y_factor",
     "__version__",

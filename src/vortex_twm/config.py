@@ -39,7 +39,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "config_to_dict",
-    "validate_config",
 ]
 
 KNOWN_OUTPUTS = ("fields", "images", "profiles", "metrics")
@@ -51,7 +50,7 @@ class WeakProbeWarning(UserWarning):
     """Probe amplitude large enough to strain the weak-probe treatment."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     medium: MediumParams
     control: LGBeamSpec
@@ -63,8 +62,60 @@ class RunConfig:
     ring_radius: float | None = None  # None selects the automatic ring
     profile_m: int = DEFAULT_M
 
-    def max_charge(self) -> int:
-        return max(abs(self.control.tc), abs(self.probe_p.tc), abs(self.probe_s.tc))
+    def __post_init__(self):
+        """Cross-field checks plus the weak-probe advisory warning.
+
+        Every construction runs them, dataclasses.replace included, so a
+        RunConfig that exists is a valid one.
+        """
+        lmax = max(abs(self.control.tc), abs(self.probe_p.tc), abs(self.probe_s.tc))
+        if not isinstance(self.grid_n, int) or self.grid_n < 2:
+            raise InvalidConfigError(f"grid.n must be an integer >= 2, got {self.grid_n!r}")
+        need_n = 8 * (lmax + 1)
+        if self.grid_n < need_n:
+            raise InvalidConfigError(
+                f"grid.n = {self.grid_n} under-resolves charge {lmax} (need >= {need_n})"
+            )
+        if self.grid_n > GRID_N_MAX:
+            raise InvalidConfigError(f"grid.n = {self.grid_n} exceeds the ceiling {GRID_N_MAX}")
+        if not (math.isfinite(self.grid_extent) and self.grid_extent > 0):
+            raise InvalidConfigError(
+                f"grid.extent must be finite and positive, got {self.grid_extent!r}"
+            )
+        waist = max(self.control.waist, self.probe_p.waist, self.probe_s.waist)
+        if self.grid_extent < waist:
+            raise InvalidConfigError(
+                f"grid.extent = {self.grid_extent!r} does not reach the beam waist {waist!r}"
+            )
+        step = 2.0 * self.grid_extent / (self.grid_n - 1)
+        finest = min(self.control.waist, self.probe_p.waist, self.probe_s.waist)
+        if step > finest:
+            raise InvalidConfigError(
+                f"grid step 2*extent/(n-1) = {step!r} does not resolve the beam waist {finest!r}"
+                " (raise grid.n or lower grid.extent)"
+            )
+        if not isinstance(self.profile_m, int) or self.profile_m < 16:
+            raise InvalidConfigError(f"analysis.m must be an integer >= 16, got {self.profile_m!r}")
+        if self.profile_m > PROFILE_M_MAX:
+            raise InvalidConfigError(
+                f"analysis.m = {self.profile_m} exceeds the ceiling {PROFILE_M_MAX}"
+            )
+        bad = [o for o in self.outputs if o not in KNOWN_OUTPUTS]
+        if bad:
+            raise InvalidConfigError(f"outputs contains unknown products {bad!r}")
+        if self.ring_radius is not None and not (0.0 <= self.ring_radius <= self.grid_extent):
+            raise InvalidConfigError(
+                f"analysis.radius = {self.ring_radius!r} outside [0, extent={self.grid_extent}]"
+            )
+        probe_peak = max(self.probe_p.epsilon, self.probe_s.epsilon)
+        decay_floor = min(self.medium.gamma21, self.medium.gamma31)
+        if decay_floor > 0 and probe_peak > 0.5 * decay_floor:
+            warnings.warn(
+                f"probe amplitude {probe_peak} exceeds half the slowest decay "
+                f"{decay_floor}; the perturbative treatment may be strained",
+                WeakProbeWarning,
+                stacklevel=3,  # the caller of the generated __init__
+            )
 
 
 def default_config() -> RunConfig:
@@ -96,55 +147,6 @@ _SECTIONS = {
 # a default its dataclass cannot carry: delta is positional, before d
 _DEFAULTS = {("medium", "delta"): 0.0}
 _KINDS = {"int": "an integer", "float": "a number", "float | None": "'auto' or a number"}
-
-
-def validate_config(cfg: RunConfig) -> RunConfig:
-    """Cross-field checks plus the weak-probe advisory warning."""
-    lmax = cfg.max_charge()
-    if not isinstance(cfg.grid_n, int) or cfg.grid_n < 2:
-        raise InvalidConfigError(f"grid.n must be an integer >= 2, got {cfg.grid_n!r}")
-    need_n = 8 * (lmax + 1)
-    if cfg.grid_n < need_n:
-        raise InvalidConfigError(
-            f"grid.n = {cfg.grid_n} under-resolves charge {lmax} (need >= {need_n})"
-        )
-    if cfg.grid_n > GRID_N_MAX:
-        raise InvalidConfigError(f"grid.n = {cfg.grid_n} exceeds the ceiling {GRID_N_MAX}")
-    if not (math.isfinite(cfg.grid_extent) and cfg.grid_extent > 0):
-        raise InvalidConfigError(f"grid.extent must be finite and positive, got {cfg.grid_extent!r}")
-    waist = max(cfg.control.waist, cfg.probe_p.waist, cfg.probe_s.waist)
-    if cfg.grid_extent < waist:
-        raise InvalidConfigError(
-            f"grid.extent = {cfg.grid_extent!r} does not reach the beam waist {waist!r}"
-        )
-    step = 2.0 * cfg.grid_extent / (cfg.grid_n - 1)
-    finest = min(cfg.control.waist, cfg.probe_p.waist, cfg.probe_s.waist)
-    if step > finest:
-        raise InvalidConfigError(
-            f"grid step 2*extent/(n-1) = {step!r} does not resolve the beam waist {finest!r}"
-            " (raise grid.n or lower grid.extent)"
-        )
-    if not isinstance(cfg.profile_m, int) or cfg.profile_m < 16:
-        raise InvalidConfigError(f"analysis.m must be an integer >= 16, got {cfg.profile_m!r}")
-    if cfg.profile_m > PROFILE_M_MAX:
-        raise InvalidConfigError(f"analysis.m = {cfg.profile_m} exceeds the ceiling {PROFILE_M_MAX}")
-    bad = [o for o in cfg.outputs if o not in KNOWN_OUTPUTS]
-    if bad:
-        raise InvalidConfigError(f"outputs contains unknown products {bad!r}")
-    if cfg.ring_radius is not None and not (0.0 <= cfg.ring_radius <= cfg.grid_extent):
-        raise InvalidConfigError(
-            f"analysis.radius = {cfg.ring_radius!r} outside [0, extent={cfg.grid_extent}]"
-        )
-    probe_peak = max(cfg.probe_p.epsilon, cfg.probe_s.epsilon)
-    decay_floor = min(cfg.medium.gamma21, cfg.medium.gamma31)
-    if decay_floor > 0 and probe_peak > 0.5 * decay_floor:
-        warnings.warn(
-            f"probe amplitude {probe_peak} exceeds half the slowest decay "
-            f"{decay_floor}; the perturbative treatment may be strained",
-            WeakProbeWarning,
-            stacklevel=2,
-        )
-    return cfg
 
 
 def _value(path: str, val, kind: str):
@@ -210,7 +212,7 @@ def parse_config(doc: dict) -> RunConfig:
     outputs = doc.get("outputs", list(KNOWN_OUTPUTS))
     if not isinstance(outputs, (list, tuple)) or not all(isinstance(o, str) for o in outputs):
         raise InvalidConfigError("'outputs' must be a list of product names")
-    return validate_config(RunConfig(**nested, **flat, outputs=tuple(outputs)))
+    return RunConfig(**nested, **flat, outputs=tuple(outputs))
 
 
 def _object(pairs: tuple, path: str = "") -> dict:

@@ -28,7 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ._parallel import map_items
-from .config import RunConfig, default_config, validate_config
+from .config import RunConfig, default_config
 from .errors import InvalidConfigError
 from .runner import (
     METRIC_COLUMNS,
@@ -42,8 +42,6 @@ from .runner import (
 __all__ = ["reproduce_figure", "run_sweep", "DETUNING_SWEEP", "FIGURE_IDS", "SWEEP_PARAMS"]
 
 DETUNING_SWEEP = (-9.0, -6.0, -3.0, 0.0, 3.0, 6.0, 9.0)
-CHARGE_SWEEP_TRANSFER = (1, 2, 3)
-CHARGE_SWEEP_PETALS = (2, 3, 4)
 
 CRESCENT_DEPTH = 8.0
 PETAL_DEPTH = 4.0
@@ -60,11 +58,6 @@ def _pinned_radius(n: int, extent: float, charge: int = 1, waist: float = 1.0) -
     """
     step = 2.0 * extent / (n - 1)
     return step * round(waist * math.sqrt(abs(charge) / 2.0) / step)
-
-
-def _transfer_base() -> RunConfig:
-    """Deep-medium flat-probe cell of fig3; the presets sweep its control charge."""
-    return replace(default_config(), outputs=("images", "metrics"))
 
 
 def _interference_base(depth: float, outputs) -> RunConfig:
@@ -101,50 +94,34 @@ def _figure_rows(analysed):
     }
 
 
-def _fig3(out_dir) -> dict:
-    columns = ("lc", "winding_fs", "winding_fp", "ring_fp", "ring_fs")
-    notes = "charge transfer to the generated fields, flat probes, d = 100"
-    payload = {"figure": "fig3", "notes": notes}
-    base = _transfer_base()
-    return _sweep(base, "lc", CHARGE_SWEEP_TRANSFER, out_dir, payload, columns, _figure_rows)
-
-
-def _fig4(out_dir) -> dict:
-    base = _interference_base(CRESCENT_DEPTH, ("images", "metrics"))
-    columns = ("delta", "radius", "petal_d", "petal_u", "peak_d", "peak_u", "spread_d", "spread_u")
-    notes = "crescent rotation under detuning, unit charges, d = 8"
-    payload = {"figure": "fig4", "notes": notes}
-    return _sweep(base, "delta", DETUNING_SWEEP, out_dir, payload, columns, _figure_rows)
-
-
-def _fig5(out_dir) -> dict:
-    base = _interference_base(CRESCENT_DEPTH, ("profiles", "metrics"))
-    columns = ("delta", "radius", "peak_d", "peak_u", "spread_d", "spread_u")
-    notes = "azimuthal profiles versus detuning on a common ring, d = 8"
-    payload = {"figure": "fig5", "notes": notes}
-    return _sweep(base, "delta", DETUNING_SWEEP, out_dir, payload, columns, _figure_rows)
-
-
-def _fig6(out_dir) -> dict:
-    base = _interference_base(PETAL_DEPTH, ("images", "metrics"))
-    columns = (
-        "lc",
-        "radius",
-        "petal_d",
-        "petal_u",
-        "peak_d",
-        "peak_u",
-        "winding_fp",
-        "winding_fs",
-        "ring_fp",
-        "ring_fs",
-    )
-    notes = "petal interference for control charges 2..4, unit probes, d = 4"
-    payload = {"figure": "fig6", "notes": notes}
-    return _sweep(base, "lc", CHARGE_SWEEP_PETALS, out_dir, payload, columns, _figure_rows)
-
-
-_FIGURES = {"fig3": _fig3, "fig4": _fig4, "fig5": _fig5, "fig6": _fig6}
+# Each preset: (base config, swept param, values, table columns, notes).
+_FIGURES = {
+    "fig3": (
+        replace(default_config(), outputs=("images", "metrics")),
+        "lc", (1, 2, 3),
+        ("lc", "winding_fs", "winding_fp", "ring_fp", "ring_fs"),
+        "charge transfer to the generated fields, flat probes, d = 100",
+    ),
+    "fig4": (
+        _interference_base(CRESCENT_DEPTH, ("images", "metrics")),
+        "delta", DETUNING_SWEEP,
+        ("delta", "radius", "petal_d", "petal_u", "peak_d", "peak_u", "spread_d", "spread_u"),
+        "crescent rotation under detuning, unit charges, d = 8",
+    ),
+    "fig5": (
+        _interference_base(CRESCENT_DEPTH, ("profiles", "metrics")),
+        "delta", DETUNING_SWEEP,
+        ("delta", "radius", "peak_d", "peak_u", "spread_d", "spread_u"),
+        "azimuthal profiles versus detuning on a common ring, d = 8",
+    ),
+    "fig6": (
+        _interference_base(PETAL_DEPTH, ("images", "metrics")),
+        "lc", (2, 3, 4),
+        ("lc", "radius", "petal_d", "petal_u", "peak_d", "peak_u",
+         "winding_fp", "winding_fs", "ring_fp", "ring_fs"),
+        "petal interference for control charges 2..4, unit probes, d = 4",
+    ),
+}
 FIGURE_IDS = tuple(sorted(_FIGURES))
 
 
@@ -152,7 +129,9 @@ def reproduce_figure(fig_id: str, out_dir) -> dict:
     """Run one preset into out_dir; returns the manifest payload."""
     if fig_id not in _FIGURES:
         raise InvalidConfigError(f"unknown figure id {fig_id!r}, expected one of {FIGURE_IDS}")
-    return _FIGURES[fig_id](out_dir)
+    base, param, values, columns, notes = _FIGURES[fig_id]
+    payload = {"figure": fig_id, "notes": notes}
+    return _sweep(base, param, values, out_dir, payload, columns, _figure_rows)
 
 
 SWEEP_PARAMS = ("delta", "lc", "amp")
@@ -172,7 +151,7 @@ def _sweep_cells(cfg: RunConfig, param: str, values) -> list[tuple[str, RunConfi
     """(label, config) per value of param over cfg, labelled param_{value:g}.
 
     Rejects an unknown param, an empty list, values whose labels collide
-    and any cell that fails validate_config, before a cell runs.
+    and any invalid cell, before a cell runs: building a cell checks it.
     """
     if param not in SWEEP_PARAMS:
         raise InvalidConfigError(f"sweep param must be one of {SWEEP_PARAMS}, got {param!r}")
@@ -186,7 +165,7 @@ def _sweep_cells(cfg: RunConfig, param: str, values) -> list[tuple[str, RunConfi
                 f"sweep values {labels[label]!r} and {v!r} share the cell label {label!r}"
             )
         labels[label] = v
-    return [(label, validate_config(_sweep_cell(cfg, param, v))) for label, v in labels.items()]
+    return [(label, _sweep_cell(cfg, param, v)) for label, v in labels.items()]
 
 
 def _sweep(cfg: RunConfig, param: str, values, out_dir, payload, columns, rows_of):

@@ -31,7 +31,7 @@ def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
 def write_intensity_pgm(field: ComplexField, path) -> None:
     """Binary PGM (P5) of |field|^2 scaled to the image's own maximum; a zero field is black."""
     inten = np.abs(field.values) ** 2
-    peak = float(inten.max())
+    peak = field.peak * field.peak  # squaring is monotone, so this is inten.max()
     ratio = inten / peak if peak > 0.0 else inten
     _write_pnm(path, "P5", np.floor(255.0 * ratio + 0.5).astype(np.uint8))
 
@@ -51,7 +51,7 @@ def write_phase_ppm(field: ComplexField, path) -> None:
     rgb = np.empty(h6.shape + (3,), dtype=np.uint8)
     for k, level in enumerate(wheel):
         rgb[..., k] = np.floor(255.0 * np.clip(level, 0.0, 1.0) + 0.5)
-    rgb[(amp < AMPLITUDE_FLOOR * amp.max()) | (amp == 0.0)] = 0
+    rgb[(amp < AMPLITUDE_FLOOR * field.peak) | (amp == 0.0)] = 0
     _write_pnm(path, "P6", rgb)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import analysis
 from .beams import ComplexField, make_grid, sample_lg
-from .config import RunConfig, config_to_dict, validate_config
+from .config import RunConfig, config_to_dict
 from .errors import VortexTwmError
 from .propagation import output_fields
 from .render import write_field_csv, write_intensity_pgm, write_phase_ppm, write_profile_csv
@@ -119,7 +119,6 @@ def write_manifest(out_dir, payload: dict, paths, listed=()) -> dict:
 
 def run_config(cfg: RunConfig, out_dir) -> dict:
     """Run one configuration into out_dir; returns the manifest payload."""
-    validate_config(cfg)
     return write_products(cfg, out_dir, compute_fields(cfg))
 
 

@@ -278,24 +278,22 @@ def probe_linearity_error(trials: int, seed: int = SEED + 5) -> float:
 
 
 def _anti_phase_outputs():
-    """The resonant unit-charge interference cell used by both identity suites."""
-    n = 257
-    grid = make_grid(n, 3.0)
+    """The resonant unit-charge interference cell of both identity suites, built once."""
+    grid = make_grid(257, 3.0)
     p = MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=8.0)
     control = sample_lg(LGBeamSpec(epsilon=4.0, tc=1), grid)
     probe = sample_lg(LGBeamSpec(epsilon=0.005, tc=1), grid)
-    out = output_fields(p, control, probe, probe)
-    return grid, out
+    return output_fields(p, control, probe, probe)
 
 
-def sum_ripple_error() -> float:
-    """At delta = 0 the summed output intensity must be angle-independent.
+def sum_ripple_error(out) -> float:
+    """At delta = 0 the summed output intensity of out must be angle-independent.
 
-    Measured without interpolation: the grid's 8-fold symmetry orbit maps
-    each node to nodes of exactly equal radius, so any orbit mismatch in
-    |omega_d|^2 + |omega_u|^2 is angular ripple.
+    out is _anti_phase_outputs().  Measured without interpolation: the
+    grid's 8-fold symmetry orbit maps each node to nodes of exactly equal
+    radius, so any orbit mismatch in |omega_d|^2 + |omega_u|^2 is angular
+    ripple.
     """
-    _, out = _anti_phase_outputs()
     s = np.abs(out["omega_d"].values) ** 2 + np.abs(out["omega_u"].values) ** 2
     peak = float(s.max())
     orbit = (
@@ -305,9 +303,9 @@ def sum_ripple_error() -> float:
     return max(float(np.max(np.abs(s - img))) for img in orbit) / peak
 
 
-def anti_phase_peak_error() -> float:
-    """At delta = 0 the two output crescents must point pi apart."""
-    grid, out = _anti_phase_outputs()
+def anti_phase_peak_error(out) -> float:
+    """At delta = 0 the two crescents of out, _anti_phase_outputs(), must point pi apart."""
+    grid = out["omega_d"].grid
     target = grid.step * round(math.sqrt(0.5) / grid.step)
     peak_d = peak_angle(azimuthal_profile(out["omega_d"], target))
     peak_u = peak_angle(azimuthal_profile(out["omega_u"], target))
@@ -326,6 +324,7 @@ def run_verify(level: str) -> list[SuiteResult]:
     if level not in _LEVELS:
         raise InvalidConfigError(f"verify level must be 'fast' or 'full', got {level!r}")
     n, steps, trials, evolve_trials = _LEVELS[level]
+    anti_phase = _anti_phase_outputs()
     return [
         SuiteResult("channel_oracle", channel_oracle_error(n, steps), 1e-7),
         SuiteResult("steady_kernel", steady_kernel_error(trials), 1e-12),
@@ -334,8 +333,8 @@ def run_verify(level: str) -> list[SuiteResult]:
         SuiteResult("decoupled_limits", decoupled_limit_error(trials), 1e-12),
         SuiteResult("lossless", lossless_error(max(5, trials // 5)), 1e-10),
         SuiteResult("probe_linearity", probe_linearity_error(max(5, trials // 5)), 1e-12),
-        SuiteResult("sum_ripple", sum_ripple_error(), 1e-9),
-        SuiteResult("anti_phase_peaks", anti_phase_peak_error(), 0.01),
+        SuiteResult("sum_ripple", sum_ripple_error(anti_phase), 1e-9),
+        SuiteResult("anti_phase_peaks", anti_phase_peak_error(anti_phase), 0.01),
     ]
 
 

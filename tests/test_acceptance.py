@@ -26,7 +26,7 @@ from vortex_twm.analysis import (
     ring_radius,
     winding_number,
 )
-from vortex_twm.config import LGBeamSpec, MediumParams, RunConfig, validate_config
+from vortex_twm.config import LGBeamSpec, MediumParams, RunConfig
 from vortex_twm.propagation import (
     integrate_channel_numeric,
     solve_channel_p,
@@ -68,7 +68,7 @@ def _run_case(medium, lc, lp, ls, n=256, radius=None):
         grid_n=n,
         ring_radius=radius,
     )
-    return compute_fields(validate_config(cfg))
+    return compute_fields(cfg)
 
 
 # ---------------------------------------------------------------- C1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -254,9 +256,8 @@ def test_field_without_closed_form_is_not_interpolated():
     for read in (ring_radius, winding_number, lambda f: azimuthal_profile(f, 1.0)):
         with pytest.raises(NoClosedFormError, match="no closed form"):
             read(bare)
-    cfg = default_config()
     for radius in (None, 1.0):
-        cfg.ring_radius = radius
+        cfg = replace(default_config(), ring_radius=radius)
         row, profile = field_metrics("omega_fs", bare, cfg)
         assert profile is None
         assert row["ring_radius"] == row["winding"] == row["petal_count"] == row["peak_angle"] == ""
@@ -350,8 +351,7 @@ def test_two_equal_orders_leave_the_winding_blank():
     # just above the floor, the larger order wins
     tilted = _ring_field({1: 0.5 + 3.0 * AMPLITUDE_FLOOR, -1: 0.5 * np.exp(0.3j)})
     assert winding_number(tilted, radius=1.0) == 1
-    cfg = default_config()
-    cfg.ring_radius = 1.0
+    cfg = replace(default_config(), ring_radius=1.0)
     row, profile = field_metrics("omega_d", field, cfg)
     assert row["winding"] == ""
     assert profile is not None and petal_count(profile) == 2

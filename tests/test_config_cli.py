@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import pkgutil
 import re
 import tempfile
 import threading
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import vortex_twm
 from vortex_twm import cli
 from vortex_twm.analysis import azimuthal_profile
 from vortex_twm._parallel import map_items
@@ -24,11 +26,9 @@ from vortex_twm.config import (
     default_config,
     load_config,
     parse_config,
-    validate_config,
 )
 from vortex_twm.errors import InvalidConfigError
-from vortex_twm.figures import CRESCENT_DEPTH, FIGURE_IDS, PETAL_DEPTH
-from vortex_twm.figures import _interference_base, _transfer_base
+from vortex_twm.figures import FIGURE_IDS, _FIGURES
 from vortex_twm.render import write_profile_csv
 from vortex_twm.runner import compute_fields, file_sha256, run_config
 from vortex_twm.verify import SuiteResult
@@ -60,44 +60,58 @@ def _write_doc(tmp_path, doc, name="cfg.json"):
 def test_default_config_validates_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        validate_config(default_config())
+        default_config()
 
 
 def test_validation_names_dotted_fields():
     cfg = default_config()
     with pytest.raises(InvalidConfigError, match="grid.n"):
-        validate_config(dataclasses.replace(cfg, grid_n=1))
+        dataclasses.replace(cfg, grid_n=1)
     with pytest.raises(InvalidConfigError, match="grid.n"):
-        validate_config(dataclasses.replace(cfg, grid_n=256.0))
+        dataclasses.replace(cfg, grid_n=256.0)
     with pytest.raises(InvalidConfigError, match="grid.extent"):
-        validate_config(dataclasses.replace(cfg, grid_extent=0.0))
+        dataclasses.replace(cfg, grid_extent=0.0)
     with pytest.raises(InvalidConfigError, match="analysis.m"):
-        validate_config(dataclasses.replace(cfg, profile_m=15))
+        dataclasses.replace(cfg, profile_m=15)
     with pytest.raises(InvalidConfigError, match="analysis.radius"):
-        validate_config(dataclasses.replace(cfg, ring_radius=7.5))
+        dataclasses.replace(cfg, ring_radius=7.5)
     with pytest.raises(InvalidConfigError, match="outputs"):
-        validate_config(dataclasses.replace(cfg, outputs=("metrics", "pixels")))
+        dataclasses.replace(cfg, outputs=("metrics", "pixels"))
 
 
 def test_validation_resolution_scales_with_charge():
     cfg = parse_config(_small_doc())
-    high = dataclasses.replace(cfg, control=dataclasses.replace(cfg.control, tc=5))
     with pytest.raises(InvalidConfigError, match="charge 5"):
-        validate_config(high)  # 32 < 8 * (5 + 1)
+        # 32 < 8 * (5 + 1)
+        dataclasses.replace(cfg, control=dataclasses.replace(cfg.control, tc=5))
     # the ring metrics are exact at any sample count, so analysis.m has one floor, 16
-    resolved = dataclasses.replace(high, grid_n=64)
-    assert validate_config(dataclasses.replace(resolved, profile_m=16)).profile_m == 16
+    resolved = dataclasses.replace(cfg, grid_n=64, control=dataclasses.replace(cfg.control, tc=5))
+    assert dataclasses.replace(resolved, profile_m=16).profile_m == 16
     with pytest.raises(InvalidConfigError, match="analysis.m must be an integer >= 16, got 15"):
-        validate_config(dataclasses.replace(resolved, profile_m=15))
+        dataclasses.replace(resolved, profile_m=15)
 
 
 def test_weak_probe_warning():
     cfg = default_config()
-    strained = dataclasses.replace(
-        cfg, probe_p=dataclasses.replace(cfg.probe_p, epsilon=0.03)
-    )
     with pytest.warns(WeakProbeWarning):
-        validate_config(strained)  # 0.03 > 0.5 * 0.05
+        # 0.03 > 0.5 * 0.05
+        dataclasses.replace(cfg, probe_p=dataclasses.replace(cfg.probe_p, epsilon=0.03))
+
+
+def test_run_config_is_a_checked_frozen_value():
+    """No RunConfig is invalid or edited after its check, whichever API builds it."""
+    cfg = default_config()
+    with pytest.raises(InvalidConfigError, match="grid.n = 64 under-resolves charge 9"):
+        dataclasses.replace(
+            cfg,
+            grid_n=64,
+            profile_m=3,
+            outputs=("metrics", "pixels"),
+            control=dataclasses.replace(cfg.control, tc=9),
+        )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.grid_n = 8
+    assert cfg == default_config()
 
 
 def test_config_round_trip_identity():
@@ -106,12 +120,7 @@ def test_config_round_trip_identity():
     pinned = dataclasses.replace(cfg, ring_radius=0.75, outputs=("images",), profile_m=360)
     assert parse_config(config_to_dict(pinned)) == pinned
     bundled = [load_config(CONFIGS / name) for name in ("transfer.json", "interference.json")]
-    presets = [
-        _transfer_base(),
-        _interference_base(CRESCENT_DEPTH, ("images", "metrics")),
-        _interference_base(CRESCENT_DEPTH, ("profiles", "metrics")),
-        _interference_base(PETAL_DEPTH, ("images", "metrics")),
-    ]
+    presets = [base for base, *_ in _FIGURES.values()]
     for cfg in bundled + presets:
         assert parse_config(config_to_dict(cfg)) == cfg
 
@@ -138,6 +147,15 @@ def test_readme_quickstart_runs_every_subcommand():
         a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]
     assert shown == set(subparsers.choices)
+
+
+def test_readme_module_map_names_every_public_module():
+    """README's Module map has one row per public module of the package, and no other."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    module_map = text.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `vortex_twm\.(\w+)`", module_map, flags=re.MULTILINE)
+    public = {m.name for m in pkgutil.iter_modules(vortex_twm.__path__) if m.name[0] != "_"}
+    assert sorted(listed) == sorted(public)
 
 
 @pytest.mark.parametrize(
