@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 DEFAULT_M = 720          # 0.5 degree azimuthal resolution of a profile
+PROFILE_M_MAX = 65536
 AMPLITUDE_FLOOR = 1e-12  # fraction of the field maximum below which phase is noise
 PETAL_FLOOR = 1e-6       # harmonic weight below this fraction of c_0 counts as structureless
 
@@ -45,12 +46,20 @@ class AzimuthalProfile:
     orders: dict[int, complex]  # order k -> ring amplitude R_k(radius)
 
 
-def _check_radius(field: ComplexField, radius: float) -> float:
+def check_m(m: int) -> int:
+    """The rules of analysis.m, a profile's sample count; returns it as a Python int."""
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 16:
+        raise InvalidConfigError(f"analysis.m must be an integer >= 16, got {m!r}")
+    if m > PROFILE_M_MAX:
+        raise InvalidConfigError(f"analysis.m = {m} exceeds the ceiling {PROFILE_M_MAX}")
+    return int(m)
+
+
+def check_radius(radius: float, extent: float) -> float:
+    """The rule of analysis.radius, a ring inside a grid of that extent; returns a float."""
     radius = float(radius)
-    if not np.isfinite(radius) or radius < 0 or radius > field.grid.extent:
-        raise OutOfGridError(
-            f"ring radius {radius!r} outside the grid (extent {field.grid.extent})"
-        )
+    if not 0.0 <= radius <= extent:
+        raise OutOfGridError(f"analysis.radius = {radius!r} outside [0, extent={extent}]")
     return radius
 
 
@@ -72,7 +81,7 @@ def winding_number(field: ComplexField, radius: float | None = None) -> int:
     """
     if radius is None:
         radius = ring_radius(field)
-    radius = _check_radius(field, radius)
+    radius = check_radius(radius, field.grid.extent)
     if field.peak == 0.0:
         raise AmplitudeFloorError("zero field has no phase to wind")
     mags = {k: float(abs(a)) for k, a in _amplitudes(field, radius).items()}
@@ -86,9 +95,8 @@ def winding_number(field: ComplexField, radius: float | None = None) -> int:
 
 def azimuthal_profile(field: ComplexField, radius: float, m: int = DEFAULT_M) -> AzimuthalProfile:
     """Intensity |field|^2 at m uniform angles of the given ring, with its orders."""
-    if not isinstance(m, (int, np.integer)) or m < 16:
-        raise InvalidConfigError(f"profile sample count m must be >= 16, got {m!r}")
-    radius = _check_radius(field, radius)
+    m = check_m(m)
+    radius = check_radius(radius, field.grid.extent)
     amps = {k: complex(a) for k, a in _amplitudes(field, radius).items()}
     thetas = 2.0 * np.pi * np.arange(m) / m
     vals = sum(a * np.exp(1j * k * thetas) for k, a in amps.items())

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import InvalidConfigError
 
+GRID_N_MAX = 4096  # one 4096^2 complex field is 256 MiB
+
 
 @dataclass(eq=False)
 class Grid2D:
@@ -56,13 +58,21 @@ class Grid2D:
         )
 
 
-def make_grid(n: int, extent: float = 3.0) -> Grid2D:
-    """Uniform symmetric n x n grid with axis endpoints at +-extent."""
+def check_grid(n: int, extent: float) -> tuple[int, float]:
+    """The rules of grid.n and grid.extent; returns them as Python int and float."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
         raise InvalidConfigError(f"grid.n must be an integer >= 2, got {n!r}")
+    if n > GRID_N_MAX:
+        raise InvalidConfigError(f"grid.n = {n} exceeds the ceiling {GRID_N_MAX}")
     if not np.isfinite(extent) or extent <= 0:
         raise InvalidConfigError(f"grid.extent must be finite and positive, got {extent!r}")
-    return Grid2D(axis=np.linspace(-extent, extent, int(n)), extent=float(extent))
+    return int(n), float(extent)
+
+
+def make_grid(n: int, extent: float = 3.0) -> Grid2D:
+    """Uniform symmetric n x n grid with axis endpoints at +-extent (check_grid)."""
+    n, extent = check_grid(n, extent)
+    return Grid2D(axis=np.linspace(-extent, extent, n), extent=extent)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,11 @@ the offending field the same way.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
 
-from .analysis import DEFAULT_M
-from .beams import LGBeamSpec
+from .analysis import DEFAULT_M, check_m, check_radius
+from .beams import LGBeamSpec, check_grid
 from .errors import InvalidConfigError
 from .medium import MediumParams
 
@@ -42,8 +41,6 @@ __all__ = [
 ]
 
 KNOWN_OUTPUTS = ("fields", "images", "profiles", "metrics")
-GRID_N_MAX = 4096  # one 4096^2 complex field is 256 MiB
-PROFILE_M_MAX = 65536
 
 
 class WeakProbeWarning(UserWarning):
@@ -63,50 +60,47 @@ class RunConfig:
     profile_m: int = DEFAULT_M
 
     def __post_init__(self):
-        """Cross-field checks plus the weak-probe advisory warning.
+        """Checks that span sections, plus the weak-probe advisory warning.
 
-        Every construction runs them, dataclasses.replace included, so a
-        RunConfig that exists is a valid one.
+        The rules of a single key belong to the code that uses its value:
+        beams.check_grid (grid.n, grid.extent), analysis.check_m and
+        check_radius (analysis.m, analysis.radius).  Their results are
+        stored, so NumPy numbers become Python ones and a list of outputs a
+        tuple.  Every construction runs the checks, dataclasses.replace
+        included, so a RunConfig that exists is a valid one.
         """
+        n, extent = check_grid(self.grid_n, self.grid_extent)
         lmax = max(abs(self.control.tc), abs(self.probe_p.tc), abs(self.probe_s.tc))
-        if not isinstance(self.grid_n, int) or self.grid_n < 2:
-            raise InvalidConfigError(f"grid.n must be an integer >= 2, got {self.grid_n!r}")
         need_n = 8 * (lmax + 1)
-        if self.grid_n < need_n:
+        if n < need_n:
             raise InvalidConfigError(
-                f"grid.n = {self.grid_n} under-resolves charge {lmax} (need >= {need_n})"
-            )
-        if self.grid_n > GRID_N_MAX:
-            raise InvalidConfigError(f"grid.n = {self.grid_n} exceeds the ceiling {GRID_N_MAX}")
-        if not (math.isfinite(self.grid_extent) and self.grid_extent > 0):
-            raise InvalidConfigError(
-                f"grid.extent must be finite and positive, got {self.grid_extent!r}"
+                f"grid.n = {n} under-resolves charge {lmax} (need >= {need_n})"
             )
         waist = max(self.control.waist, self.probe_p.waist, self.probe_s.waist)
-        if self.grid_extent < waist:
+        if extent < waist:
             raise InvalidConfigError(
-                f"grid.extent = {self.grid_extent!r} does not reach the beam waist {waist!r}"
+                f"grid.extent = {extent!r} does not reach the beam waist {waist!r}"
             )
-        step = 2.0 * self.grid_extent / (self.grid_n - 1)
+        step = 2.0 * extent / (n - 1)
         finest = min(self.control.waist, self.probe_p.waist, self.probe_s.waist)
         if step > finest:
             raise InvalidConfigError(
                 f"grid step 2*extent/(n-1) = {step!r} does not resolve the beam waist {finest!r}"
                 " (raise grid.n or lower grid.extent)"
             )
-        if not isinstance(self.profile_m, int) or self.profile_m < 16:
-            raise InvalidConfigError(f"analysis.m must be an integer >= 16, got {self.profile_m!r}")
-        if self.profile_m > PROFILE_M_MAX:
-            raise InvalidConfigError(
-                f"analysis.m = {self.profile_m} exceeds the ceiling {PROFILE_M_MAX}"
-            )
-        bad = [o for o in self.outputs if o not in KNOWN_OUTPUTS]
+        m = check_m(self.profile_m)
+        outputs = self.outputs
+        if not isinstance(outputs, (list, tuple)) or not all(isinstance(o, str) for o in outputs):
+            raise InvalidConfigError("'outputs' must be a list of product names")
+        bad = [o for o in outputs if o not in KNOWN_OUTPUTS]
         if bad:
             raise InvalidConfigError(f"outputs contains unknown products {bad!r}")
-        if self.ring_radius is not None and not (0.0 <= self.ring_radius <= self.grid_extent):
-            raise InvalidConfigError(
-                f"analysis.radius = {self.ring_radius!r} outside [0, extent={self.grid_extent}]"
-            )
+        radius = None if self.ring_radius is None else check_radius(self.ring_radius, extent)
+        checked = dict(
+            grid_n=n, grid_extent=extent, profile_m=m, outputs=tuple(outputs), ring_radius=radius
+        )
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)  # frozen: each checked value is set once, here
         probe_peak = max(self.probe_p.epsilon, self.probe_s.epsilon)
         decay_floor = min(self.medium.gamma21, self.medium.gamma31)
         if decay_floor > 0 and probe_peak > 0.5 * decay_floor:
@@ -209,10 +203,7 @@ def parse_config(doc: dict) -> RunConfig:
         attr: values[name][key] for name, keys in _RUN_KEYS.items() for key, attr in keys.items()
     }
 
-    outputs = doc.get("outputs", list(KNOWN_OUTPUTS))
-    if not isinstance(outputs, (list, tuple)) or not all(isinstance(o, str) for o in outputs):
-        raise InvalidConfigError("'outputs' must be a list of product names")
-    return RunConfig(**nested, **flat, outputs=tuple(outputs))
+    return RunConfig(**nested, **flat, outputs=doc.get("outputs", KNOWN_OUTPUTS))
 
 
 def _object(pairs: tuple, path: str = "") -> dict:

@@ -45,7 +45,7 @@ class NoClosedFormError(VortexTwmError):
     """A ring observable was asked of a field that carries no angular orders."""
 
 
-class OutOfGridError(VortexTwmError):
+class OutOfGridError(InvalidConfigError):
     """Requested ring radius extends beyond the sampled grid."""
 
 

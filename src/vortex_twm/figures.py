@@ -30,14 +30,8 @@ from pathlib import Path
 from ._parallel import map_items
 from .config import RunConfig, default_config
 from .errors import InvalidConfigError
-from .runner import (
-    METRIC_COLUMNS,
-    analyse,
-    compute_fields,
-    write_manifest,
-    write_metrics_csv,
-    write_products,
-)
+from .render import write_metrics_csv
+from .runner import METRIC_COLUMNS, analyse, compute_fields, write_manifest, write_products
 
 __all__ = ["reproduce_figure", "run_sweep", "DETUNING_SWEEP", "FIGURE_IDS", "SWEEP_PARAMS"]
 

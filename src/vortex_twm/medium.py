@@ -92,10 +92,12 @@ def beta_factor(p: MediumParams, control):
 
     Consumers must use beta only through the even combinations cos(beta x)
     and sin(beta x)/beta, so the branch choice is observationally
-    irrelevant (and tested as such).
+    irrelevant (and tested as such).  The square is a product: Python's
+    complex ** raises OverflowError where g * g overflows to inf.
     """
     c2 = np.abs(control) ** 2
-    return np.sqrt(c2 - (1j * p.delta + p.gamma31 - p.gamma21) ** 2 + 0j)
+    g = 1j * p.delta + p.gamma31 - p.gamma21
+    return np.sqrt(c2 - g * g + 0j)
 
 
 def _checked_y(p: MediumParams, control):

@@ -1,4 +1,4 @@
-"""Bit-exact serialization: PGM intensity maps, PPM phase maps, CSV dumps.
+"""Bit-exact serialization: PGM intensity maps, PPM phase maps, CSV tables.
 
 All writers are byte-deterministic for identical inputs: no timestamps,
 fixed header formatting, locale-independent number formatting, and
@@ -17,6 +17,7 @@ __all__ = [
     "write_phase_ppm",
     "write_field_csv",
     "write_profile_csv",
+    "write_metrics_csv",
 ]
 
 
@@ -88,3 +89,17 @@ def write_profile_csv(profile: AzimuthalProfile, path) -> None:
     pairs = np.column_stack([profile.thetas, profile.intensities])
     template = f"{_CELL},{_CELL}\n" * len(pairs)
     _write_csv(path, "theta,intensity", [(template, pairs.ravel().tolist())])
+
+
+def write_metrics_csv(rows: list[dict], columns, path) -> None:
+    """Header of the column names, then one line per row dict; a missing column is blank.
+
+    A float cell (numpy's too) is written as _CELL, any other as str().
+    """
+
+    def lines():
+        for row in rows:
+            cells = [row.get(c, "") for c in columns]
+            yield ",".join(_CELL if isinstance(v, float) else "%s" for v in cells) + "\n", cells
+
+    _write_csv(path, ",".join(columns), lines())

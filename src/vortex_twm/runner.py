@@ -18,12 +18,11 @@ import hashlib
 import json
 from pathlib import Path
 
-from . import analysis
+from . import analysis, render
 from .beams import ComplexField, make_grid, sample_lg
 from .config import RunConfig, config_to_dict
 from .errors import VortexTwmError
 from .propagation import output_fields
-from .render import write_field_csv, write_intensity_pgm, write_phase_ppm, write_profile_csv
 
 __all__ = [
     "run_config",
@@ -31,7 +30,6 @@ __all__ = [
     "write_products",
     "field_metrics",
     "analyse",
-    "write_metrics_csv",
     "write_manifest",
 ]
 
@@ -78,18 +76,6 @@ def field_metrics(
     return row, profile
 
 
-def write_metrics_csv(rows: list[dict], columns, path) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row.get(c, "")) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _fmt_cell(val) -> str:
-    """A float (numpy's too) as %.17g; a name, an integer or a blank "" as is."""
-    return format(val, ".17g") if isinstance(val, float) else str(val)
-
-
 def file_sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -119,7 +105,8 @@ def write_manifest(out_dir, payload: dict, paths, listed=()) -> dict:
 
 def run_config(cfg: RunConfig, out_dir) -> dict:
     """Run one configuration into out_dir; returns the manifest payload."""
-    return write_products(cfg, out_dir, compute_fields(cfg))
+    fields = compute_fields(cfg)
+    return write_products(cfg, out_dir, fields, analyse(cfg, fields))
 
 
 def analyse(cfg: RunConfig, fields: dict[str, ComplexField]) -> dict:
@@ -127,11 +114,8 @@ def analyse(cfg: RunConfig, fields: dict[str, ComplexField]) -> dict:
     return {name: field_metrics(name, field, cfg) for name, field in fields.items()}
 
 
-def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField], analysed=None) -> dict:
-    """Write the requested products for already-computed fields.
-
-    analysed is analyse(cfg, fields); it is computed here if not given.
-    """
+def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField], analysed) -> dict:
+    """Write the requested products of computed fields, analysed = analyse(cfg, fields)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written, made = [], {""}
@@ -145,23 +129,20 @@ def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField], ana
 
     if "fields" in cfg.outputs:
         for name, fld in fields.items():
-            write_field_csv(fld, target("fields", f"{name}.csv"))
+            render.write_field_csv(fld, target("fields", f"{name}.csv"))
 
     if "images" in cfg.outputs:
         for name, fld in fields.items():
-            write_intensity_pgm(fld, target("images", f"{name}_intensity.pgm"))
-            write_phase_ppm(fld, target("images", f"{name}_phase.ppm"))
-
-    if analysed is None and {"profiles", "metrics"} & set(cfg.outputs):
-        analysed = analyse(cfg, fields)
+            render.write_intensity_pgm(fld, target("images", f"{name}_intensity.pgm"))
+            render.write_phase_ppm(fld, target("images", f"{name}_phase.ppm"))
 
     if "profiles" in cfg.outputs:
         for name, (_row, profile) in analysed.items():
             if profile is not None:
-                write_profile_csv(profile, target("profiles", f"{name}_profile.csv"))
+                render.write_profile_csv(profile, target("profiles", f"{name}_profile.csv"))
 
     if "metrics" in cfg.outputs:
         rows = [row for row, _profile in analysed.values()]
-        write_metrics_csv(rows, METRIC_COLUMNS, target("", "metrics.csv"))
+        render.write_metrics_csv(rows, METRIC_COLUMNS, target("", "metrics.csv"))
 
     return write_manifest(out_dir, {"config": config_to_dict(cfg)}, written)

@@ -20,6 +20,7 @@ import numpy as np
 from .analysis import azimuthal_profile, peak_angle
 from .beams import LGBeamSpec, make_grid, sample_lg
 from .errors import InvalidConfigError, VerificationError
+from .figures import CRESCENT_DEPTH, _interference_base
 from .medium import (
     CoherencePair,
     MediumParams,
@@ -28,12 +29,8 @@ from .medium import (
     steady_coherences,
     y_factor,
 )
-from .propagation import (
-    integrate_channel_numeric,
-    output_fields,
-    solve_channel_p,
-    solve_channel_s,
-)
+from .propagation import integrate_channel_numeric, solve_channel_p, solve_channel_s
+from .runner import compute_fields
 
 __all__ = ["SuiteResult", "run_verify", "print_report", "ensure_passing"]
 
@@ -277,22 +274,13 @@ def probe_linearity_error(trials: int, seed: int = SEED + 5) -> float:
     return worst
 
 
-def _anti_phase_outputs():
-    """The resonant unit-charge interference cell of both identity suites, built once."""
-    grid = make_grid(257, 3.0)
-    p = MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=8.0)
-    control = sample_lg(LGBeamSpec(epsilon=4.0, tc=1), grid)
-    probe = sample_lg(LGBeamSpec(epsilon=0.005, tc=1), grid)
-    return output_fields(p, control, probe, probe)
-
-
 def sum_ripple_error(out) -> float:
     """At delta = 0 the summed output intensity of out must be angle-independent.
 
-    out is _anti_phase_outputs().  Measured without interpolation: the
-    grid's 8-fold symmetry orbit maps each node to nodes of exactly equal
-    radius, so any orbit mismatch in |omega_d|^2 + |omega_u|^2 is angular
-    ripple.
+    out is compute_fields of fig4's delta = 0 cell.  Measured without
+    interpolation: the grid's 8-fold symmetry orbit maps each node to nodes
+    of exactly equal radius, so any orbit mismatch in
+    |omega_d|^2 + |omega_u|^2 is angular ripple.
     """
     s = np.abs(out["omega_d"].values) ** 2 + np.abs(out["omega_u"].values) ** 2
     peak = float(s.max())
@@ -303,12 +291,13 @@ def sum_ripple_error(out) -> float:
     return max(float(np.max(np.abs(s - img))) for img in orbit) / peak
 
 
-def anti_phase_peak_error(out) -> float:
-    """At delta = 0 the two crescents of out, _anti_phase_outputs(), must point pi apart."""
-    grid = out["omega_d"].grid
-    target = grid.step * round(math.sqrt(0.5) / grid.step)
-    peak_d = peak_angle(azimuthal_profile(out["omega_d"], target))
-    peak_u = peak_angle(azimuthal_profile(out["omega_u"], target))
+def anti_phase_peak_error(out, radius: float) -> float:
+    """At delta = 0 the two crescents of out (as in sum_ripple_error) must point pi apart.
+
+    They are read on the ring of the given radius, the cell's pinned ring.
+    """
+    peak_d = peak_angle(azimuthal_profile(out["omega_d"], radius))
+    peak_u = peak_angle(azimuthal_profile(out["omega_u"], radius))
     return abs((peak_d - peak_u) % (2.0 * np.pi) - np.pi)
 
 
@@ -324,7 +313,8 @@ def run_verify(level: str) -> list[SuiteResult]:
     if level not in _LEVELS:
         raise InvalidConfigError(f"verify level must be 'fast' or 'full', got {level!r}")
     n, steps, trials, evolve_trials = _LEVELS[level]
-    anti_phase = _anti_phase_outputs()
+    cell = _interference_base(CRESCENT_DEPTH, ())  # fig4 at delta = 0
+    anti_phase = compute_fields(cell)
     return [
         SuiteResult("channel_oracle", channel_oracle_error(n, steps), 1e-7),
         SuiteResult("steady_kernel", steady_kernel_error(trials), 1e-12),
@@ -334,7 +324,7 @@ def run_verify(level: str) -> list[SuiteResult]:
         SuiteResult("lossless", lossless_error(max(5, trials // 5)), 1e-10),
         SuiteResult("probe_linearity", probe_linearity_error(max(5, trials // 5)), 1e-12),
         SuiteResult("sum_ripple", sum_ripple_error(anti_phase), 1e-9),
-        SuiteResult("anti_phase_peaks", anti_phase_peak_error(anti_phase), 0.01),
+        SuiteResult("anti_phase_peaks", anti_phase_peak_error(anti_phase, cell.ring_radius), 0.01),
     ]
 
 

@@ -12,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import vortex_twm
 from vortex_twm import cli
-from vortex_twm.analysis import azimuthal_profile
+from vortex_twm.analysis import azimuthal_profile, winding_number
+from vortex_twm.beams import make_grid
 from vortex_twm._parallel import map_items
 from vortex_twm.config import (
     RunConfig,
@@ -27,7 +28,7 @@ from vortex_twm.config import (
     load_config,
     parse_config,
 )
-from vortex_twm.errors import InvalidConfigError
+from vortex_twm.errors import InvalidConfigError, OutOfGridError
 from vortex_twm.figures import FIGURE_IDS, _FIGURES
 from vortex_twm.render import write_profile_csv
 from vortex_twm.runner import compute_fields, file_sha256, run_config
@@ -112,6 +113,57 @@ def test_run_config_is_a_checked_frozen_value():
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.grid_n = 8
     assert cfg == default_config()
+
+
+def test_outputs_is_a_list_of_names_stored_as_a_tuple():
+    cfg = default_config()
+    # a string used to be read one letter at a time
+    with pytest.raises(InvalidConfigError, match="^'outputs' must be a list of product names$"):
+        dataclasses.replace(cfg, outputs="metrics")
+    listed = dataclasses.replace(cfg, outputs=["metrics", "images"])
+    paired = dataclasses.replace(cfg, outputs=("metrics", "images"))
+    assert listed.outputs == ("metrics", "images")
+    assert listed == paired and hash(listed) == hash(paired)
+    assert config_to_dict(listed) == config_to_dict(paired)
+    assert config_to_dict(listed)["outputs"] == ["metrics", "images"]
+
+
+def test_numpy_integers_are_stored_as_python_ints():
+    cfg = default_config()
+    plain = dataclasses.replace(cfg, grid_n=64, profile_m=720)
+    numpy = dataclasses.replace(cfg, grid_n=np.int64(64), profile_m=np.int64(720))
+    assert numpy == plain and hash(numpy) == hash(plain)
+    assert type(numpy.grid_n) is int and type(numpy.profile_m) is int
+    assert json.loads(json.dumps(config_to_dict(numpy))) == config_to_dict(plain)
+
+
+@pytest.mark.parametrize(
+    "section, value, library",
+    [
+        ("grid", {"n": 1, "extent": 3.0}, lambda f: make_grid(1, 3.0)),
+        ("grid", {"n": 4097, "extent": 3.0}, lambda f: make_grid(4097, 3.0)),
+        ("grid", {"n": 32, "extent": -1.0}, lambda f: make_grid(32, -1.0)),
+        ("grid", {"n": 32, "extent": float("nan")}, lambda f: make_grid(32, float("nan"))),
+        ("analysis", {"radius": "auto", "m": 15}, lambda f: azimuthal_profile(f, 1.0, 15)),
+        ("analysis", {"radius": "auto", "m": 65537}, lambda f: azimuthal_profile(f, 1.0, 65537)),
+        ("analysis", {"radius": 3.5, "m": 720}, lambda f: azimuthal_profile(f, 3.5)),
+        ("analysis", {"radius": -0.25, "m": 720}, lambda f: winding_number(f, -0.25)),
+    ],
+    ids=["n_1", "n_4097", "extent_negative", "extent_nan", "m_15", "m_65537", "radius_3.5",
+         "radius_negative"],
+)
+def test_config_and_library_reject_a_key_with_one_text(section, value, library):
+    """Each key's rules have one owner, ceilings included, so both ways in raise one message."""
+    field = compute_fields(parse_config(_small_doc()))["omega_d"]  # extent 3.0
+    with pytest.raises(InvalidConfigError) as by_config:
+        parse_config(_small_doc(**{section: value}))
+    with pytest.raises(InvalidConfigError) as by_library:
+        library(field)
+    message = str(by_config.value)
+    assert message == str(by_library.value) and message.startswith(f"{section}.")
+    assert type(by_config.value) is type(by_library.value)
+    # a ring outside the grid raises OutOfGridError, a kind of InvalidConfigError
+    assert isinstance(by_config.value, OutOfGridError) == message.startswith("analysis.radius")
 
 
 def test_config_round_trip_identity():
@@ -397,6 +449,14 @@ def test_cli_rejects_analysis_m_under_16(tmp_path, capsys):
     _cli_rejects(tmp_path, capsys, doc, "analysis.m must be an integer >= 16, got 15")
     doc["analysis"]["m"] = 16  # enough at any charge: the ring metrics do not sample
     assert parse_config(doc).profile_m == 16
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow advisories
+@pytest.mark.parametrize("key", ["gamma31", "gamma21", "delta"])
+def test_cli_rejects_a_medium_rate_that_overflows(tmp_path, capsys, key):
+    # squaring gamma31 - gamma21 + i delta used to raise OverflowError, a traceback
+    medium = {"gamma31": 1.0, "gamma21": 0.05, "delta": 0.0, "d": 8.0, key: 1e200}
+    _cli_rejects(tmp_path, capsys, _small_doc(medium=medium), "field contains non-finite values")
 
 
 def test_cli_rejects_non_finite_extent(tmp_path, capsys):
@@ -709,6 +769,10 @@ def _cli_argv(draw):
 @given(
     argv=_cli_argv(),
     doc=st.one_of(_config_doc(), st.one_of(_JUNK, st.binary(max_size=8))),
+)
+@example(
+    argv=["fields", "--config", "config.json", "--out", "out"],
+    doc={**_VALID_DOC, "medium": {**_VALID_DOC["medium"], "gamma31": 1e308}},
 )
 @settings(
     max_examples=200,

@@ -10,6 +10,7 @@ from vortex_twm.beams import ComplexField, Grid2D, make_grid, sample_lg, LGBeamS
 from vortex_twm.render import (
     write_field_csv,
     write_intensity_pgm,
+    write_metrics_csv,
     write_phase_ppm,
     write_profile_csv,
 )
@@ -160,6 +161,18 @@ def test_profile_csv_round_trip(tmp_path):
     data = np.loadtxt(p, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], prof.thetas)
     assert np.array_equal(data[:, 1], prof.intensities)
+
+
+def test_metrics_csv_cells(tmp_path):
+    # a float cell is %.17g, which equals format(v, ".17g") for every double
+    rng = np.random.default_rng(14)
+    doubles = rng.integers(0, 2**64, 10_000, dtype=np.uint64).view(np.float64).tolist()
+    doubles += [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.7976931348623157e308]
+    rows = [{"v": v, "k": "omega_d"} for v in doubles] + [{"v": np.float64(0.1), "k": 3}, {}]
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(rows, ("k", "v"), path)
+    want = [f"omega_d,{v:.17g}" for v in doubles] + ["3,0.10000000000000001", ","]
+    assert path.read_bytes().decode("ascii").split("\n") == ["k,v", *want, ""]
 
 
 def test_writers_byte_deterministic(tmp_path):
