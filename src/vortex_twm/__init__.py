@@ -5,6 +5,7 @@ coherently driven medium, the frequency-mixed fields they generate, and
 the interference observables of the resultant outputs.
 """
 from .analysis import (
+    AnalysisSpec,
     AzimuthalProfile,
     azimuthal_profile,
     peak_angle,
@@ -12,7 +13,7 @@ from .analysis import (
     ring_radius,
     winding_number,
 )
-from .beams import ComplexField, Grid2D, LGBeamSpec, make_grid, sample_lg
+from .beams import ComplexField, Grid2D, GridSpec, LGBeamSpec, make_grid, sample_lg
 from .config import RunConfig, default_config, load_config, parse_config
 from .errors import VortexTwmError
 from .figures import reproduce_figure, run_sweep
@@ -37,11 +38,13 @@ from .verify import run_verify
 __version__ = "0.1.0"
 
 __all__ = [
+    "AnalysisSpec",
     "AzimuthalProfile",
     "ChannelState",
     "CoherencePair",
     "ComplexField",
     "Grid2D",
+    "GridSpec",
     "LGBeamSpec",
     "MediumParams",
     "RunConfig",

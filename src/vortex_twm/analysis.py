@@ -19,9 +19,12 @@ from .errors import (
     OutOfGridError,
     StructurelessProfileError,
     ZeroFieldError,
+    integer,
+    real,
 )
 
 __all__ = [
+    "AnalysisSpec",
     "AzimuthalProfile",
     "winding_number",
     "azimuthal_profile",
@@ -46,18 +49,32 @@ class AzimuthalProfile:
     orders: dict[int, complex]  # order k -> ring amplitude R_k(radius)
 
 
-def check_m(m: int) -> int:
-    """The rules of analysis.m, a profile's sample count; returns it as a Python int."""
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 16:
-        raise InvalidConfigError(f"analysis.m must be an integer >= 16, got {m!r}")
-    if m > PROFILE_M_MAX:
-        raise InvalidConfigError(f"analysis.m = {m} exceeds the ceiling {PROFILE_M_MAX}")
-    return int(m)
+@dataclass(frozen=True)
+class AnalysisSpec:
+    """The analysis section of a run: the metric ring and a profile's sample count m.
+
+    radius "auto" selects the brightest ring of each field; a number pins
+    one ring for all, which RunConfig checks against the grid.
+    """
+
+    radius: float | str = "auto"
+    m: int = DEFAULT_M
+
+    def __post_init__(self):
+        if not (isinstance(self.radius, str) and self.radius == "auto"):
+            radius = real("analysis.radius", self.radius, "'auto' or a number")
+            object.__setattr__(self, "radius", radius)  # frozen: each typed value is set once
+        m = integer("analysis.m", self.m)
+        if m < 16:
+            raise InvalidConfigError(f"analysis.m must be an integer >= 16, got {m!r}")
+        if m > PROFILE_M_MAX:
+            raise InvalidConfigError(f"analysis.m = {m} exceeds the ceiling {PROFILE_M_MAX}")
+        object.__setattr__(self, "m", m)
 
 
 def check_radius(radius: float, extent: float) -> float:
     """The rule of analysis.radius, a ring inside a grid of that extent; returns a float."""
-    radius = float(radius)
+    radius = real("analysis.radius", radius)
     if not 0.0 <= radius <= extent:
         raise OutOfGridError(f"analysis.radius = {radius!r} outside [0, extent={extent}]")
     return radius
@@ -95,7 +112,7 @@ def winding_number(field: ComplexField, radius: float | None = None) -> int:
 
 def azimuthal_profile(field: ComplexField, radius: float, m: int = DEFAULT_M) -> AzimuthalProfile:
     """Intensity |field|^2 at m uniform angles of the given ring, with its orders."""
-    m = check_m(m)
+    m = AnalysisSpec(m=m).m
     radius = check_radius(radius, field.grid.extent)
     amps = {k: complex(a) for k, a in _amplitudes(field, radius).items()}
     thetas = 2.0 * np.pi * np.arange(m) / m

@@ -7,13 +7,14 @@ upper-transition decay rate.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, integer, real
 
 GRID_N_MAX = 4096  # one 4096^2 complex field is 256 MiB
 
@@ -58,38 +59,47 @@ class Grid2D:
         )
 
 
-def check_grid(n: int, extent: float) -> tuple[int, float]:
-    """The rules of grid.n and grid.extent; returns them as Python int and float."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise InvalidConfigError(f"grid.n must be an integer >= 2, got {n!r}")
-    if n > GRID_N_MAX:
-        raise InvalidConfigError(f"grid.n = {n} exceeds the ceiling {GRID_N_MAX}")
-    if not np.isfinite(extent) or extent <= 0:
-        raise InvalidConfigError(f"grid.extent must be finite and positive, got {extent!r}")
-    return int(n), float(extent)
+@dataclass(frozen=True)
+class GridSpec:
+    """The grid section of a run: n points per axis over [-extent, extent] waists."""
+
+    n: int = 256
+    extent: float = 3.0
+
+    def __post_init__(self):
+        n, extent = integer("grid.n", self.n), real("grid.extent", self.extent)
+        if n < 2:
+            raise InvalidConfigError(f"grid.n must be an integer >= 2, got {n!r}")
+        if n > GRID_N_MAX:
+            raise InvalidConfigError(f"grid.n = {n} exceeds the ceiling {GRID_N_MAX}")
+        if not math.isfinite(extent) or extent <= 0:
+            raise InvalidConfigError(f"grid.extent must be finite and positive, got {extent!r}")
+        object.__setattr__(self, "n", n)  # frozen: each typed value is set once, here
+        object.__setattr__(self, "extent", extent)
 
 
 def make_grid(n: int, extent: float = 3.0) -> Grid2D:
-    """Uniform symmetric n x n grid with axis endpoints at +-extent (check_grid)."""
-    n, extent = check_grid(n, extent)
-    return Grid2D(axis=np.linspace(-extent, extent, n), extent=extent)
+    """Uniform symmetric n x n grid with axis endpoints at +-extent (GridSpec's rules)."""
+    spec = GridSpec(n, extent)
+    return Grid2D(axis=np.linspace(-spec.extent, spec.extent, spec.n), extent=spec.extent)
 
 
 @dataclass(frozen=True)
 class LGBeamSpec:
-    """One Laguerre-Gaussian input: amplitude, topological charge, waist."""
+    """One Laguerre-Gaussian input: amplitude, topological charge, waist (keys beam.*)."""
 
     epsilon: float
     tc: int
     waist: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise InvalidConfigError(f"beam epsilon must be >= 0, got {self.epsilon!r}")
-        if isinstance(self.tc, bool) or int(self.tc) != self.tc:
-            raise InvalidConfigError(f"beam tc must be a signed integer, got {self.tc!r}")
-        if not np.isfinite(self.waist) or self.waist <= 0:
-            raise InvalidConfigError(f"beam waist must be positive, got {self.waist!r}")
+        for f in fields(self):  # frozen: each typed value is set once, here
+            typed = integer if f.name == "tc" else real
+            object.__setattr__(self, f.name, typed(f"beam.{f.name}", getattr(self, f.name)))
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise InvalidConfigError(f"beam.epsilon must be >= 0, got {self.epsilon!r}")
+        if not math.isfinite(self.waist) or self.waist <= 0:
+            raise InvalidConfigError(f"beam.waist must be positive, got {self.waist!r}")
 
 
 @dataclass(eq=False)

@@ -1,8 +1,9 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the two type checks of a config value.
 
 The CLI maps these onto exit codes: configuration problems exit 1,
 I/O failures exit 2, verification failures exit 3.
 """
+from numbers import Integral, Real
 
 
 class VortexTwmError(Exception):
@@ -11,6 +12,23 @@ class VortexTwmError(Exception):
 
 class InvalidConfigError(VortexTwmError):
     """A configuration field is missing, malformed, or out of range."""
+
+
+def real(path: str, value, kind: str = "a number") -> float:
+    """value as a Python float: a real number, never a bool, a string or None."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidConfigError(f"'{path}' must be {kind}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the largest double
+        raise InvalidConfigError(f"'{path}' exceeds the float range") from None
+
+
+def integer(path: str, value) -> int:
+    """value as a Python int: an int or NumPy integer, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidConfigError(f"'{path}' must be an integer, got {value!r}")
+    return int(value)
 
 
 class GridMismatchError(VortexTwmError):

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from ._parallel import map_items
 from .config import RunConfig, default_config
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, real
 from .render import write_metrics_csv
 from .runner import METRIC_COLUMNS, analyse, compute_fields, write_manifest, write_products
 
@@ -57,15 +57,14 @@ def _pinned_radius(n: int, extent: float, charge: int = 1, waist: float = 1.0) -
 def _interference_base(depth: float, outputs) -> RunConfig:
     """Unit-charge interference cell on the pinned ring, resonant, at depth d."""
     base = default_config()
-    n = ANGLE_GRID_N
     return replace(
         base,
         medium=replace(base.medium, d=depth),
         probe_p=replace(base.probe_p, tc=1),
         probe_s=replace(base.probe_s, tc=1),
-        grid_n=n,
+        grid=replace(base.grid, n=ANGLE_GRID_N),
         outputs=tuple(outputs),
-        ring_radius=_pinned_radius(n, base.grid_extent, charge=1),
+        analysis=replace(base.analysis, radius=_pinned_radius(ANGLE_GRID_N, base.grid.extent)),
     )
 
 
@@ -133,12 +132,12 @@ SWEEP_PARAMS = ("delta", "lc", "amp")
 
 def _sweep_cell(cfg: RunConfig, param: str, value: float) -> RunConfig:
     if param == "delta":
-        return replace(cfg, medium=replace(cfg.medium, delta=float(value)))
+        return replace(cfg, medium=replace(cfg.medium, delta=value))
     if param == "lc":
         if not value.is_integer():
             raise InvalidConfigError(f"lc sweep values must be integers, got {value!r}")
         return replace(cfg, control=replace(cfg.control, tc=int(value)))
-    return replace(cfg, control=replace(cfg.control, epsilon=float(value)))
+    return replace(cfg, control=replace(cfg.control, epsilon=value))
 
 
 def _sweep_cells(cfg: RunConfig, param: str, values) -> list[tuple[str, RunConfig]]:
@@ -202,7 +201,7 @@ def run_sweep(cfg: RunConfig, param: str, values, out_dir) -> dict:
     own cell directory of products plus a row block in the sweep-level
     metrics table (one row per output field, long format).
     """
-    values = [float(v) for v in values]
+    values = [real("sweep values", v) for v in values]
     payload = {"sweep": {"param": param, "values": values}}
     columns = (param,) + METRIC_COLUMNS
     return _sweep(cfg, param, values, out_dir, payload, columns, _field_rows)

@@ -22,11 +22,11 @@ arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateMediumError, InvalidConfigError, StepSizeError
+from .errors import DegenerateMediumError, InvalidConfigError, StepSizeError, real
 
 __all__ = [
     "MediumParams",
@@ -58,13 +58,15 @@ class MediumParams:
     length: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma31) or self.gamma31 < 0:
+        for f in fields(self):  # frozen: each typed value is set once, here
+            object.__setattr__(self, f.name, real(f"medium.{f.name}", getattr(self, f.name)))
+        if not math.isfinite(self.gamma31) or self.gamma31 < 0:
             raise InvalidConfigError(f"medium.gamma31 must be >= 0, got {self.gamma31!r}")
-        if not np.isfinite(self.gamma21) or self.gamma21 < 0:
+        if not math.isfinite(self.gamma21) or self.gamma21 < 0:
             raise InvalidConfigError(f"medium.gamma21 must be >= 0, got {self.gamma21!r}")
-        if not np.isfinite(self.delta):
+        if not math.isfinite(self.delta):
             raise InvalidConfigError(f"medium.delta must be finite, got {self.delta!r}")
-        if not np.isfinite(self.d) or self.d <= 0:
+        if not math.isfinite(self.d) or self.d <= 0:
             raise InvalidConfigError(f"medium.d must be > 0, got {self.d!r}")
         if self.length != 1.0:
             raise InvalidConfigError(f"medium.length is normalized to 1, got {self.length!r}")

@@ -77,19 +77,19 @@ def _channel_factors(p: MediumParams, control, z: float):
     """
     y = _checked_y(p, control)
     beta = beta_factor(p, control)
-    x = (p.d * z) / (8.0 * y * p.length)
-    bx = beta * x
-    xg = x * (1j * p.delta + p.gamma31 + p.gamma21)
-    mode_plus = np.exp(1j * bx - xg)
-    mode_minus = np.exp(-1j * bx - xg)
-    cos_damp = 0.5 * (mode_plus + mode_minus)
-    small = np.abs(bx) < SERIES_SWITCH
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):  # an overflow ends in inf or nan, which ComplexField reports
+        x = (p.d * z) / (8.0 * y * p.length)
+        bx = beta * x
+        xg = x * (1j * p.delta + p.gamma31 + p.gamma21)
+        mode_plus = np.exp(1j * bx - xg)
+        mode_minus = np.exp(-1j * bx - xg)
+        cos_damp = 0.5 * (mode_plus + mode_minus)
+        small = np.abs(bx) < SERIES_SWITCH
         sinc_damp = np.asarray((mode_plus - mode_minus) / np.where(small, 1.0, 2j * beta))
-    if small.any():  # the series and its exp only where they are used
-        xs, bs, gs = (np.broadcast_to(a, small.shape)[small] for a in (x, bx, xg))
-        bs2 = bs * bs
-        sinc_damp[small] = xs * (1.0 - bs2 / 6.0 + bs2 * bs2 / 120.0) * np.exp(-gs)
+        if small.any():  # the series and its exp only where they are used
+            xs, bs, gs = (np.broadcast_to(a, small.shape)[small] for a in (x, bx, xg))
+            bs2 = bs * bs
+            sinc_damp[small] = xs * (1.0 - bs2 / 6.0 + bs2 * bs2 / 120.0) * np.exp(-gs)
     return cos_damp, sinc_damp
 
 

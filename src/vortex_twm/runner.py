@@ -38,7 +38,7 @@ METRIC_COLUMNS = ("field", "radius", "winding", "petal_count", "peak_angle", "ri
 
 def compute_fields(cfg: RunConfig) -> dict[str, ComplexField]:
     """Sample inputs, propagate, and return the six named output fields."""
-    grid = make_grid(cfg.grid_n, cfg.grid_extent)
+    grid = make_grid(cfg.grid.n, cfg.grid.extent)
     control = sample_lg(cfg.control, grid)
     probe_p = sample_lg(cfg.probe_p, grid)
     probe_s = sample_lg(cfg.probe_s, grid)
@@ -62,12 +62,12 @@ def field_metrics(
     sampling ring.
     """
     ring = _metric_or_blank(lambda: analysis.ring_radius(field))
-    radius = ring if cfg.ring_radius is None else cfg.ring_radius
+    radius = ring if cfg.analysis.radius == "auto" else cfg.analysis.radius
     row = dict.fromkeys(METRIC_COLUMNS, "")
     row.update(field=name, radius=radius, ring_radius=ring)
     if radius == "":
         return row, None
-    profile = _metric_or_blank(lambda: analysis.azimuthal_profile(field, radius, cfg.profile_m))
+    profile = _metric_or_blank(lambda: analysis.azimuthal_profile(field, radius, cfg.analysis.m))
     if profile == "":
         return row, None
     row["winding"] = _metric_or_blank(lambda: analysis.winding_number(field, radius))

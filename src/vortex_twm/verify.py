@@ -85,13 +85,9 @@ def channel_oracle_error(n: int, steps: int) -> float:
 
 def _draw_params(rng, lossless: bool = False) -> MediumParams:
     if lossless:
-        return MediumParams(0.0, 0.0, 0.0, float(rng.uniform(2.0, 20.0)))
-    return MediumParams(
-        gamma31=1.0,
-        gamma21=float(10.0 ** rng.uniform(math.log10(0.05), 0.0)),
-        delta=float(rng.uniform(-9.0, 9.0)),
-        d=float(rng.uniform(4.0, 100.0)),
-    )
+        return MediumParams(0.0, 0.0, 0.0, rng.uniform(2.0, 20.0))
+    gamma21 = 10.0 ** rng.uniform(math.log10(0.05), 0.0)
+    return MediumParams(1.0, gamma21, rng.uniform(-9.0, 9.0), rng.uniform(4.0, 100.0))
 
 
 def _draw_complex(rng, scale: float = 1.0):
@@ -135,12 +131,7 @@ def steady_evolution_error(trials: int, seed: int = SEED + 1) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        p = MediumParams(
-            gamma31=1.0,
-            gamma21=float(rng.uniform(0.2, 1.0)),
-            delta=float(rng.uniform(-3.0, 3.0)),
-            d=1.0,
-        )
+        p = MediumParams(1.0, rng.uniform(0.2, 1.0), rng.uniform(-3.0, 3.0), 1.0)
         c = _draw_control(rng, 0.0, 4.0)
         pp = _draw_complex(rng, 0.01)
         ps = _draw_complex(rng, 0.01)
@@ -314,7 +305,7 @@ def run_verify(level: str) -> list[SuiteResult]:
         raise InvalidConfigError(f"verify level must be 'fast' or 'full', got {level!r}")
     n, steps, trials, evolve_trials = _LEVELS[level]
     cell = _interference_base(CRESCENT_DEPTH, ())  # fig4 at delta = 0
-    anti_phase = compute_fields(cell)
+    anti_phase, ring = compute_fields(cell), cell.analysis.radius
     return [
         SuiteResult("channel_oracle", channel_oracle_error(n, steps), 1e-7),
         SuiteResult("steady_kernel", steady_kernel_error(trials), 1e-12),
@@ -324,7 +315,7 @@ def run_verify(level: str) -> list[SuiteResult]:
         SuiteResult("lossless", lossless_error(max(5, trials // 5)), 1e-10),
         SuiteResult("probe_linearity", probe_linearity_error(max(5, trials // 5)), 1e-12),
         SuiteResult("sum_ripple", sum_ripple_error(anti_phase), 1e-9),
-        SuiteResult("anti_phase_peaks", anti_phase_peak_error(anti_phase, cell.ring_radius), 0.01),
+        SuiteResult("anti_phase_peaks", anti_phase_peak_error(anti_phase, ring), 0.01),
     ]
 
 

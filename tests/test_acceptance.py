@@ -26,7 +26,7 @@ from vortex_twm.analysis import (
     ring_radius,
     winding_number,
 )
-from vortex_twm.config import LGBeamSpec, MediumParams, RunConfig
+from vortex_twm.config import AnalysisSpec, GridSpec, LGBeamSpec, MediumParams, RunConfig
 from vortex_twm.propagation import (
     integrate_channel_numeric,
     solve_channel_p,
@@ -59,14 +59,14 @@ def _wrap_pi(a):
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _run_case(medium, lc, lp, ls, n=256, radius=None):
+def _run_case(medium, lc, lp, ls, n=256, radius="auto"):
     cfg = RunConfig(
         medium=medium,
         control=LGBeamSpec(epsilon=CONTROL_EPS, tc=lc),
         probe_p=LGBeamSpec(epsilon=PROBE_EPS, tc=lp),
         probe_s=LGBeamSpec(epsilon=PROBE_EPS, tc=ls),
-        grid_n=n,
-        ring_radius=radius,
+        grid=GridSpec(n=n),
+        analysis=AnalysisSpec(radius=radius),
     )
     return compute_fields(cfg)
 

@@ -39,7 +39,7 @@ def test_fields_and_order_sums_match_the_benchmark_reference(case):
     checks = _checks()
     cfg = _config(case)
     fields = compute_fields(cfg)
-    rows, cols = checks.pixel_subsample(cfg.grid_n, 1)
+    rows, cols = checks.pixel_subsample(cfg.grid.n, 1)
     ref = checks.reference_fields(config_to_dict(cfg), rows, cols)
     grid = fields["omega_d"].grid
     r, theta = grid.r[rows, cols], grid.theta[rows, cols]

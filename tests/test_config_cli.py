@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import pkgutil
 import re
@@ -18,9 +19,11 @@ from hypothesis import strategies as st
 import vortex_twm
 from vortex_twm import cli
 from vortex_twm.analysis import azimuthal_profile, winding_number
-from vortex_twm.beams import make_grid
+from vortex_twm.beams import LGBeamSpec, make_grid
 from vortex_twm._parallel import map_items
 from vortex_twm.config import (
+    AnalysisSpec,
+    GridSpec,
     RunConfig,
     WeakProbeWarning,
     config_to_dict,
@@ -29,6 +32,7 @@ from vortex_twm.config import (
     parse_config,
 )
 from vortex_twm.errors import InvalidConfigError, OutOfGridError
+from vortex_twm.medium import MediumParams
 from vortex_twm.figures import FIGURE_IDS, _FIGURES
 from vortex_twm.render import write_profile_csv
 from vortex_twm.runner import compute_fields, file_sha256, run_config
@@ -67,15 +71,15 @@ def test_default_config_validates_silently():
 def test_validation_names_dotted_fields():
     cfg = default_config()
     with pytest.raises(InvalidConfigError, match="grid.n"):
-        dataclasses.replace(cfg, grid_n=1)
+        dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, n=1))
     with pytest.raises(InvalidConfigError, match="grid.n"):
-        dataclasses.replace(cfg, grid_n=256.0)
+        dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, n=256.0))
     with pytest.raises(InvalidConfigError, match="grid.extent"):
-        dataclasses.replace(cfg, grid_extent=0.0)
+        dataclasses.replace(cfg, grid=dataclasses.replace(cfg.grid, extent=0.0))
     with pytest.raises(InvalidConfigError, match="analysis.m"):
-        dataclasses.replace(cfg, profile_m=15)
+        dataclasses.replace(cfg, analysis=dataclasses.replace(cfg.analysis, m=15))
     with pytest.raises(InvalidConfigError, match="analysis.radius"):
-        dataclasses.replace(cfg, ring_radius=7.5)
+        dataclasses.replace(cfg, analysis=dataclasses.replace(cfg.analysis, radius=7.5))
     with pytest.raises(InvalidConfigError, match="outputs"):
         dataclasses.replace(cfg, outputs=("metrics", "pixels"))
 
@@ -86,10 +90,13 @@ def test_validation_resolution_scales_with_charge():
         # 32 < 8 * (5 + 1)
         dataclasses.replace(cfg, control=dataclasses.replace(cfg.control, tc=5))
     # the ring metrics are exact at any sample count, so analysis.m has one floor, 16
-    resolved = dataclasses.replace(cfg, grid_n=64, control=dataclasses.replace(cfg.control, tc=5))
-    assert dataclasses.replace(resolved, profile_m=16).profile_m == 16
+    resolved = dataclasses.replace(
+        cfg, grid=dataclasses.replace(cfg.grid, n=64), control=dataclasses.replace(cfg.control, tc=5)
+    )
+    m16 = dataclasses.replace(resolved, analysis=dataclasses.replace(resolved.analysis, m=16))
+    assert m16.analysis.m == 16
     with pytest.raises(InvalidConfigError, match="analysis.m must be an integer >= 16, got 15"):
-        dataclasses.replace(resolved, profile_m=15)
+        dataclasses.replace(resolved, analysis=dataclasses.replace(resolved.analysis, m=15))
 
 
 def test_weak_probe_warning():
@@ -102,17 +109,28 @@ def test_weak_probe_warning():
 def test_run_config_is_a_checked_frozen_value():
     """No RunConfig is invalid or edited after its check, whichever API builds it."""
     cfg = default_config()
+    # a section checks its own keys when it is built, before any RunConfig sees it
+    with pytest.raises(InvalidConfigError, match="analysis.m must be an integer >= 16, got 3"):
+        dataclasses.replace(cfg.analysis, m=3)
     with pytest.raises(InvalidConfigError, match="grid.n = 64 under-resolves charge 9"):
         dataclasses.replace(
             cfg,
-            grid_n=64,
-            profile_m=3,
+            grid=dataclasses.replace(cfg.grid, n=64),
             outputs=("metrics", "pixels"),
             control=dataclasses.replace(cfg.control, tc=9),
         )
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.grid_n = 8
+        cfg.grid = GridSpec(8, 3.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.grid.n = 8
     assert cfg == default_config()
+
+
+def test_a_section_is_its_dataclass():
+    cfg = default_config()
+    for name, value in (("grid", {"n": 64, "extent": 3.0}), ("medium", None), ("control", 4.0)):
+        with pytest.raises(InvalidConfigError, match=f"^config section '{name}' must be a "):
+            dataclasses.replace(cfg, **{name: value})
 
 
 def test_outputs_is_a_list_of_names_stored_as_a_tuple():
@@ -130,11 +148,92 @@ def test_outputs_is_a_list_of_names_stored_as_a_tuple():
 
 def test_numpy_integers_are_stored_as_python_ints():
     cfg = default_config()
-    plain = dataclasses.replace(cfg, grid_n=64, profile_m=720)
-    numpy = dataclasses.replace(cfg, grid_n=np.int64(64), profile_m=np.int64(720))
+    plain = dataclasses.replace(cfg, grid=GridSpec(64, 3.0), analysis=AnalysisSpec("auto", 720))
+    numpy = dataclasses.replace(
+        cfg, grid=GridSpec(np.int64(64), 3.0), analysis=AnalysisSpec("auto", np.int64(720))
+    )
     assert numpy == plain and hash(numpy) == hash(plain)
-    assert type(numpy.grid_n) is int and type(numpy.profile_m) is int
+    assert type(numpy.grid.n) is int and type(numpy.analysis.m) is int
     assert json.loads(json.dumps(config_to_dict(numpy))) == config_to_dict(plain)
+
+
+_BEAMS = ("control", "probe_p", "probe_s")
+_REAL_KEYS = {
+    "medium": ("gamma31", "gamma21", "delta", "d", "length"),
+    **{beam: ("epsilon", "waist") for beam in _BEAMS},
+    "grid": ("extent",),
+    "analysis": ("radius",),
+}
+_INTEGER_KEYS = {**{beam: ("tc",) for beam in _BEAMS}, "grid": ("n",), "analysis": ("m",)}
+_KEYS = [(section, key) for keys in (_REAL_KEYS, _INTEGER_KEYS) for section in keys
+         for key in keys[section]]
+
+
+@pytest.mark.parametrize("section, key", _KEYS, ids=[f"{s}.{k}" for s, k in _KEYS])
+def test_every_key_rejects_a_wrong_type_by_name(section, key):
+    """The document and the Python sections type a key by one rule, and name it."""
+    integral = key in _INTEGER_KEYS.get(section, ())
+    spec = getattr(parse_config(_small_doc()), section)
+    # a beam built in Python does not know which beam it is
+    name = f"beam.{key}" if section in _BEAMS else f"{section}.{key}"
+    for value in ("x", True, None, 1.0 if integral else 10**400):
+        doc = _small_doc()
+        doc[section][key] = value
+        with pytest.raises(InvalidConfigError, match=re.escape(f"'{section}.{key}'")):
+            parse_config(doc)
+        with pytest.raises(InvalidConfigError, match=re.escape(f"'{name}'")):
+            type(spec)(**{**dataclasses.asdict(spec), key: value})
+        with pytest.raises(InvalidConfigError, match=re.escape(f"'{name}'")):
+            dataclasses.replace(spec, **{key: value})
+
+
+def _python_number(lo, hi, integral=False):
+    """A number in [lo, hi] as a Python or NumPy int, or (unless integral) float."""
+    ints = st.integers(math.ceil(lo), math.floor(hi))
+    numbers = [ints, ints.map(np.int64), ints.map(np.int32)]
+    if not integral:
+        floats = st.floats(lo, hi)
+        numbers += [floats, floats.map(np.float64), floats.map(np.float32)]
+    return st.one_of(numbers)
+
+
+@st.composite
+def _python_config(draw):
+    """A valid RunConfig built in Python from ints, floats and NumPy scalars."""
+    beams = [
+        LGBeamSpec(
+            draw(_python_number(0.0, 10.0)),
+            draw(_python_number(-3, 3, integral=True)),
+            draw(_python_number(0.5, 2.0)),
+        )
+        for _ in _BEAMS
+    ]
+    medium = MediumParams(
+        draw(_python_number(0.0, 10.0)),
+        draw(_python_number(0.0, 10.0)),
+        draw(_python_number(-10.0, 10.0)),
+        draw(_python_number(1e-3, 200.0)),
+        draw(st.sampled_from([1, 1.0, np.int64(1), np.float64(1.0)])),
+    )
+    grid = GridSpec(draw(_python_number(64, 600, integral=True)), draw(_python_number(2.0, 4.0)))
+    radius = draw(st.one_of(st.just("auto"), _python_number(0.0, 2.0)))
+    analysis = AnalysisSpec(radius, draw(_python_number(16, 4096, integral=True)))
+    outputs = draw(st.lists(st.sampled_from(["fields", "images", "profiles", "metrics"])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakProbeWarning)
+        return RunConfig(medium, *beams, grid, draw(st.sampled_from([outputs, tuple(outputs)])),
+                         analysis)
+
+
+@given(cfg=_python_config())
+@settings(max_examples=200, deadline=None)
+def test_python_config_round_trips_and_its_echo_is_a_fixed_point(cfg):
+    doc = config_to_dict(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakProbeWarning)
+        assert parse_config(doc) == cfg
+        text = json.dumps(doc, sort_keys=True)  # NumPy scalars would not serialize
+        assert json.dumps(config_to_dict(parse_config(json.loads(text))), sort_keys=True) == text
 
 
 @pytest.mark.parametrize(
@@ -169,7 +268,7 @@ def test_config_and_library_reject_a_key_with_one_text(section, value, library):
 def test_config_round_trip_identity():
     cfg = default_config()
     assert parse_config(config_to_dict(cfg)) == cfg
-    pinned = dataclasses.replace(cfg, ring_radius=0.75, outputs=("images",), profile_m=360)
+    pinned = dataclasses.replace(cfg, analysis=AnalysisSpec(0.75, 360), outputs=("images",))
     assert parse_config(config_to_dict(pinned)) == pinned
     bundled = [load_config(CONFIGS / name) for name in ("transfer.json", "interference.json")]
     presets = [base for base, *_ in _FIGURES.values()]
@@ -392,7 +491,7 @@ def test_parse_rejects_extent_inside_waist(extent):
 
 
 def test_parse_accepts_extent_at_waist():
-    assert parse_config(_small_doc(grid={"n": 32, "extent": 1.0})).grid_extent == 1.0
+    assert parse_config(_small_doc(grid={"n": 32, "extent": 1.0})).grid.extent == 1.0
 
 
 def test_cli_rejects_extent_inside_waist(tmp_path, capsys):
@@ -414,7 +513,7 @@ def test_parse_rejects_unresolved_waist(extent):
     with pytest.raises(InvalidConfigError, match="does not resolve the beam waist 0.1"):
         parse_config(narrow)
     narrow["grid"] = {"n": 61, "extent": 3.0}  # step exactly 0.1
-    assert parse_config(narrow).grid_n == 61
+    assert parse_config(narrow).grid.n == 61
 
 
 def _cli_rejects(tmp_path, capsys, doc, message):
@@ -435,28 +534,33 @@ def test_cli_rejects_unresolved_waist(tmp_path, capsys):
 def test_cli_rejects_grid_n_over_ceiling(tmp_path, capsys):
     doc = _small_doc(grid={"n": 200000, "extent": 3.0})
     _cli_rejects(tmp_path, capsys, doc, "grid.n = 200000 exceeds the ceiling 4096")
-    assert parse_config(_small_doc(grid={"n": 4096, "extent": 3.0})).grid_n == 4096
+    assert parse_config(_small_doc(grid={"n": 4096, "extent": 3.0})).grid.n == 4096
 
 
 def test_cli_rejects_analysis_m_over_ceiling(tmp_path, capsys):
     doc = _small_doc(analysis={"radius": "auto", "m": 65537})
     _cli_rejects(tmp_path, capsys, doc, "analysis.m = 65537 exceeds the ceiling 65536")
-    assert parse_config(_small_doc(analysis={"radius": "auto", "m": 65536})).profile_m == 65536
+    assert parse_config(_small_doc(analysis={"radius": "auto", "m": 65536})).analysis.m == 65536
 
 
 def test_cli_rejects_analysis_m_under_16(tmp_path, capsys):
     doc = _small_doc(control={"epsilon": 4.0, "tc": 3}, analysis={"radius": "auto", "m": 15})
     _cli_rejects(tmp_path, capsys, doc, "analysis.m must be an integer >= 16, got 15")
     doc["analysis"]["m"] = 16  # enough at any charge: the ring metrics do not sample
-    assert parse_config(doc).profile_m == 16
+    assert parse_config(doc).analysis.m == 16
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow advisories
-@pytest.mark.parametrize("key", ["gamma31", "gamma21", "delta"])
+@pytest.mark.parametrize("key", ["gamma31", "gamma21", "delta", "d"])
 def test_cli_rejects_a_medium_rate_that_overflows(tmp_path, capsys, key):
-    # squaring gamma31 - gamma21 + i delta used to raise OverflowError, a traceback
-    medium = {"gamma31": 1.0, "gamma21": 0.05, "delta": 0.0, "d": 8.0, key: 1e200}
-    _cli_rejects(tmp_path, capsys, _small_doc(medium=medium), "field contains non-finite values")
+    # squaring gamma31 - gamma21 + i delta used to raise OverflowError, a traceback, and
+    # numpy's overflow warnings used to come first; a RuntimeWarning now fails the suite
+    medium = {"gamma31": 1.0, "gamma21": 0.05, "delta": 0.0, "d": 8.0}
+    medium[key] = 1e308 if key == "d" else 1e200
+    path = _write_doc(tmp_path, _small_doc(medium=medium))
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: field contains non-finite values\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_non_finite_extent(tmp_path, capsys):
@@ -539,7 +643,7 @@ def test_cli_fields_profiles_every_field_on_a_pinned_ring(tmp_path):
     assert [p.name for p in written] == sorted(f"{name}_profile.csv" for name in fields)
     for name, field in fields.items():
         want = tmp_path / f"want_{name}.csv"
-        write_profile_csv(azimuthal_profile(field, 1.0, cfg.profile_m), want)
+        write_profile_csv(azimuthal_profile(field, 1.0, cfg.analysis.m), want)
         got = (out / "profiles" / f"{name}_profile.csv").read_bytes()
         assert got == want.read_bytes()
         assert len(got.decode().splitlines()) == 721

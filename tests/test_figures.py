@@ -73,6 +73,15 @@ def test_sweep_validation(tmp_path):
         run_sweep(cfg, "lc", [float("nan")], tmp_path / "d")
 
 
+def test_sweep_values_are_numbers(tmp_path):
+    # from Python, "x" used to raise ValueError and None TypeError, and True ran as 1.0
+    out = tmp_path / "s"
+    for bad in ("x", None, True, 10**400):
+        with pytest.raises(InvalidConfigError, match="^'sweep values' (must be a number|exceeds)"):
+            run_sweep(_base_config(), "delta", [0.0, bad], out)
+    assert not out.exists()
+
+
 def test_sweep_rejects_colliding_labels(tmp_path):
     cfg = _base_config()
     out = tmp_path / "s"
@@ -212,11 +221,11 @@ def test_ring_reads_evaluate_one_point_per_radius(tmp_path, monkeypatch, ring):
     else:
         cfg = load_config(CONFIGS / "transfer.json")
     run_config(cfg, tmp_path / "run")
-    step = 2.0 * cfg.grid_extent / (cfg.grid_n - 1)
-    scan = np.arange(0.0, cfg.grid_extent + 0.25 * step, 0.5 * step).size
+    step = 2.0 * cfg.grid.extent / (cfg.grid.n - 1)
+    scan = np.arange(0.0, cfg.grid.extent + 0.25 * step, 0.5 * step).size
     # the grid once; every ring read takes the formula once per radius, never per angle
     sizes = sorted(np.size(control) for _p, control, _probe_p, _probe_s in calls)
-    assert sizes[-1] == cfg.grid_n**2
+    assert sizes[-1] == cfg.grid.n**2
     assert sizes[-2] == scan
     assert set(sizes[:-1]) == {1, scan}
 
@@ -267,7 +276,8 @@ CONTROL_AMPLITUDES = (0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 12.0, 16.0, 3
 
 def _crescent_peaks(depth, delta):
     """(peak_d, peak_u) of the fig4 cell at each control amplitude, on a coarse grid."""
-    base = replace(_interference_base(depth, ("metrics",)), grid_n=33)
+    base = _interference_base(depth, ("metrics",))
+    base = replace(base, grid=replace(base.grid, n=33))
     base = replace(base, medium=replace(base.medium, delta=delta))
     peaks = []
     for _label, cfg in _sweep_cells(base, "amp", CONTROL_AMPLITUDES):
@@ -303,8 +313,9 @@ def test_crescent_flips_are_sign_changes_of_the_rk4_oracle(depth, flip_steps):
     """On resonance the generated p-channel field at a ring point is -i c b0
     times a real factor, sin(beta x)/beta damped; the RK4 oracle, not the
     closed form, finds its sign, and it changes exactly where peak_d flips."""
-    base = replace(_interference_base(depth, ("metrics",)), grid_n=33)
-    grid, r = make_grid(base.grid_n, base.grid_extent), np.array(base.ring_radius)
+    base = _interference_base(depth, ("metrics",))
+    base = replace(base, grid=replace(base.grid, n=33))
+    grid, r = make_grid(base.grid.n, base.grid.extent), np.array(base.analysis.radius)
     b0 = sample_lg(base.probe_p, grid).orders[base.probe_p.tc](r)  # the ring at theta = 0
     signs = []
     for _label, cfg in _sweep_cells(base, "amp", CONTROL_AMPLITUDES):
