@@ -130,6 +130,11 @@ def steady_coherences(p: MediumParams, control, probe_p_total, probe_s_total) ->
     return CoherencePair(rho31=rho31, rho21=rho21)
 
 
+def _matmul(x, y):
+    """Product of two stacks of k x k matrices, as elementwise terms summed over j in order."""
+    return sum(x[..., :, j, None] * y[..., None, j, :] for j in range(x.shape[-1]))
+
+
 def rk4_power(a, h: float, steps: int) -> np.ndarray:
     """The matrix of `steps` classical RK4 steps of dy/dz = a y: R(h a)^steps.
 
@@ -138,21 +143,24 @@ def rk4_power(a, h: float, steps: int) -> np.ndarray:
     linear system is exactly y -> R(h a) y with the degree-4 Taylor
     polynomial R(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, built here by Horner's
     rule; the power is taken by binary squaring, so the cost grows with
-    log2(steps) rather than steps.
+    log2(steps) rather than steps.  Every product is formed elementwise
+    over the stack (_matmul), never by a BLAS call, so each matrix's power
+    depends only on that matrix: not on its neighbours in the stack, nor
+    on the BLAS library numpy links.
     """
     ha = h * np.asarray(a, dtype=complex)
     eye = np.eye(ha.shape[-1], dtype=complex)
     step = eye + ha / 4.0
     for k in (3.0, 2.0, 1.0):
-        step = eye + (ha / k) @ step
+        step = eye + _matmul(ha / k, step)
     power = None
     while True:
         if steps & 1:
-            power = step if power is None else power @ step
+            power = step if power is None else _matmul(power, step)
         steps >>= 1
         if not steps:
             return power
-        step = step @ step
+        step = _matmul(step, step)
 
 
 def evolve_coherences(

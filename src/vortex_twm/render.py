@@ -45,7 +45,11 @@ def write_phase_ppm(field: ComplexField, path) -> None:
     black (phase there is noise), and so is every pixel of a zero field.
     """
     amp = np.abs(field.values)
-    h6 = ((np.angle(field.values) + np.pi) / (2.0 * np.pi) % 1.0) * 6.0
+    # arg lies in [-pi, pi] and rounding is monotone, so hue lies in [0, 1];
+    # taking it mod 1 only maps 1 to 0
+    hue = (np.angle(field.values) + np.pi) / (2.0 * np.pi)
+    hue[hue == 1.0] = 0.0
+    h6 = hue * 6.0
     # piecewise-linear wheel, full saturation and brightness: each segment
     # is an exact (Sterbenz) difference of h6, clipped to [0, 1]
     wheel = np.maximum(2.0 - h6, h6 - 4.0), np.minimum(h6, 4.0 - h6), np.minimum(h6 - 2.0, 6.0 - h6)

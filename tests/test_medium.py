@@ -11,6 +11,7 @@ from vortex_twm.medium import (
     MediumParams,
     beta_factor,
     evolve_coherences,
+    rk4_power,
     steady_coherences,
     y_factor,
 )
@@ -213,3 +214,45 @@ def test_evolve_is_stepwise_rk4(steps):
             float(np.max(np.abs(got.rho21 - ref[1]))),
         )
         assert err / scale <= 1e-12
+
+
+def _rk4_power_reference(a, h, steps):
+    """Per matrix: R(h a) by Horner's rule, then numpy's own matrix power."""
+    eye = np.eye(a.shape[-1])
+    ref = np.empty(a.shape, dtype=complex)
+    for i in np.ndindex(a.shape[:-2]):
+        x = h * a[i]
+        r = eye + x / 4.0
+        for k in (3.0, 2.0, 1.0):
+            r = eye + (x / k) @ r
+        ref[i] = np.linalg.matrix_power(r, steps)
+    return ref
+
+
+def _random_stack(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 100, 1000, 1023, 1024])
+@pytest.mark.parametrize("stack", [(), (0,), (7,), (4, 5)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_rk4_power_matches_per_matrix_reference(k, stack, steps):
+    # the binary powering's odd/even edges, on scalar, empty, flat and 2-D stacks
+    a = _random_stack(np.random.default_rng(steps), stack + (k, k))
+    h = 2.0 / steps  # a fixed span, so the powers stay bounded as steps grow
+    got = rk4_power(a, h, steps)
+    ref = _rk4_power_reference(a, h, steps)
+    assert got.shape == ref.shape == stack + (k, k)
+    for i in np.ndindex(stack):
+        assert np.max(np.abs(got[i] - ref[i])) <= 1e-12 * np.max(np.abs(ref[i]))
+
+
+@pytest.mark.parametrize("steps", [1, 1000, 1023])
+@pytest.mark.parametrize("shape", [(5, 3, 2, 2), (4, 3, 3)])
+def test_rk4_power_of_a_matrix_ignores_its_stack(shape, steps):
+    # each matrix's power is bit for bit its power computed alone
+    a = _random_stack(np.random.default_rng(11), shape)
+    h = 2.0 / steps
+    whole = rk4_power(a, h, steps)
+    for i in np.ndindex(shape[:-2]):
+        assert np.array_equal(whole[i].view(float), rk4_power(a[i], h, steps).view(float))
