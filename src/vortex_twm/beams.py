@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -114,6 +114,7 @@ class ComplexField:
     grid: Grid2D
     values: np.ndarray
     orders: dict[int, Callable[[np.ndarray], np.ndarray]] | None = None
+    _peak: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=complex)
@@ -124,10 +125,17 @@ class ComplexField:
         if not np.all(np.isfinite(self.values.view(float))):
             raise InvalidConfigError("field contains non-finite values")
 
-    @cached_property
+    @property
     def peak(self) -> float:
-        """Largest amplitude |value| on the grid, scanned once per field."""
-        return float(np.max(np.abs(self.values)))
+        """Largest amplitude |value| on the grid, scanned on first use.
+
+        Stored without a lock, so peak scans of fields on different threads
+        never wait on each other; two threads racing on one field both scan
+        and store the same value.
+        """
+        if self._peak is None:
+            self._peak = float(np.max(np.abs(self.values)))
+        return self._peak
 
 
 def _lg(spec: LGBeamSpec, r, theta):

@@ -1,7 +1,7 @@
 """Execute one configured run and write its products plus a manifest.
 
-A run samples the three input beams, propagates both channels, composes
-the resultant output fields, and writes the requested products:
+A run samples each distinct input beam once, propagates both channels,
+composes the resultant output fields, and writes the requested products:
 
     fields    CSV dumps of the six computed fields
     images    PGM intensity and PPM phase maps of the six computed fields
@@ -19,14 +19,15 @@ import json
 from pathlib import Path
 
 from . import analysis, render
-from .beams import ComplexField, make_grid, sample_lg
+from .beams import ComplexField, Grid2D, LGBeamSpec, make_grid, sample_lg
 from .config import RunConfig, config_to_dict
-from .errors import VortexTwmError
+from .errors import GridMismatchError, VortexTwmError
 from .propagation import output_fields
 
 __all__ = [
     "run_config",
     "compute_fields",
+    "shared_inputs",
     "write_products",
     "field_metrics",
     "analyse",
@@ -36,13 +37,53 @@ __all__ = [
 METRIC_COLUMNS = ("field", "radius", "winding", "petal_count", "peak_angle", "ring_radius")
 
 
-def compute_fields(cfg: RunConfig) -> dict[str, ComplexField]:
-    """Sample inputs, propagate, and return the six named output fields."""
-    grid = make_grid(cfg.grid.n, cfg.grid.extent)
-    control = sample_lg(cfg.control, grid)
-    probe_p = sample_lg(cfg.probe_p, grid)
-    probe_s = sample_lg(cfg.probe_s, grid)
-    return output_fields(cfg.medium, control, probe_p, probe_s)
+def _beams(cfg: RunConfig) -> tuple[LGBeamSpec, LGBeamSpec, LGBeamSpec]:
+    return cfg.control, cfg.probe_p, cfg.probe_s
+
+
+def _beam_key(spec: LGBeamSpec) -> tuple:
+    """The exact bits of a beam: LGBeamSpec equality merges epsilon -0.0 and
+    0.0, whose samples differ in the sign of every zero, so no sample is
+    shared by equality."""
+    return spec.epsilon.hex(), spec.tc, spec.waist.hex()
+
+
+def shared_inputs(cfgs) -> tuple[Grid2D, dict]:
+    """The grid of cfgs and a sample on it of each input beam they all have.
+
+    cfgs share one grid section, as the cells of a sweep do.  The samples
+    are keyed by beam; a beam that differs between the configs is not
+    sampled here, so this holds no sample per config.
+    """
+    grid_spec = cfgs[0].grid
+    if any(cfg.grid != grid_spec for cfg in cfgs):
+        raise GridMismatchError("configs sharing their inputs must share one grid")
+    grid = make_grid(grid_spec.n, grid_spec.extent)
+    keyed = [{_beam_key(b): b for b in _beams(cfg)} for cfg in cfgs]
+    common = set(keyed[0]).intersection(*keyed[1:])
+    return grid, {key: sample_lg(b, grid) for key, b in keyed[0].items() if key in common}
+
+
+def compute_fields(
+    cfg: RunConfig, shared: tuple[Grid2D, dict] | None = None
+) -> dict[str, ComplexField]:
+    """Sample inputs, propagate, and return the six named output fields.
+
+    Each distinct input beam is sampled once; probe_p and probe_s are
+    often the same beam.  shared, the shared_inputs of configs that
+    include cfg, gives the grid and the beams that those configs all
+    have, and only the rest of cfg's beams are sampled here.  The fields
+    are byte for byte the same either way.
+    """
+    grid, samples = shared_inputs([cfg]) if shared is None else shared
+    if (grid.n, grid.extent) != (cfg.grid.n, cfg.grid.extent):
+        raise GridMismatchError(f"shared inputs lie on another grid than {cfg.grid}")
+    samples = dict(samples)
+    for beam in _beams(cfg):
+        key = _beam_key(beam)
+        if key not in samples:
+            samples[key] = sample_lg(beam, grid)
+    return output_fields(cfg.medium, *(samples[_beam_key(b)] for b in _beams(cfg)))
 
 
 def _metric_or_blank(fn):

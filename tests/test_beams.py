@@ -1,3 +1,4 @@
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -160,3 +161,33 @@ def test_peak_is_the_largest_amplitude_of_each_output():
         want = np.max(np.abs(field.values))
         assert field.peak == want and type(field.peak) is float
         assert field.peak is field.peak  # scanned once, then cached
+
+
+def test_peak_scans_of_two_fields_do_not_wait_on_each_other():
+    # field A's scan is held inside np.abs until released; B's peak must not wait for it
+    entered, release = threading.Event(), threading.Event()
+
+    class Held(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            entered.set()
+            release.wait(10.0)
+            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+    g = make_grid(8, 1.0)
+    a, b = sample_lg(LGBeamSpec(1.0, 1), g), sample_lg(LGBeamSpec(2.0, 1), g)
+    a_peak = float(np.max(np.abs(a.values)))
+    a.values = a.values.view(Held)
+    held = threading.Thread(target=lambda: a.peak)
+    held.start()
+    try:
+        assert entered.wait(5.0)
+        got = []
+        other = threading.Thread(target=lambda: got.append(b.peak))
+        other.start()
+        other.join(5.0)
+        assert got == [float(np.max(np.abs(b.values)))]
+    finally:
+        release.set()
+        held.join(10.0)
+    assert not held.is_alive() and not other.is_alive()
+    assert a.peak == a_peak

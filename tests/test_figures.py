@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortex_twm import analysis, propagation
+from vortex_twm import analysis, cli, figures, propagation, runner
 from vortex_twm.beams import make_grid, sample_lg
 from vortex_twm.config import load_config, parse_config
-from vortex_twm.errors import InvalidConfigError
+from vortex_twm.errors import GridMismatchError, InvalidConfigError
 from vortex_twm.figures import (
+    _FIGURES,
     CRESCENT_DEPTH,
     DETUNING_SWEEP,
     FIGURE_IDS,
@@ -24,23 +25,25 @@ from vortex_twm.figures import (
     reproduce_figure,
     run_sweep,
 )
-from vortex_twm.propagation import integrate_channel_numeric
-from vortex_twm.runner import analyse, compute_fields, run_config
+from vortex_twm.propagation import integrate_channel_numeric, output_fields
+from vortex_twm.runner import analyse, compute_fields, run_config, write_products
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+def _base_doc(**grid):
+    return {
+        "medium": {"gamma31": 1.0, "gamma21": 0.05, "delta": 0.0, "d": 8.0},
+        "control": {"epsilon": 4.0, "tc": 1},
+        "probe_p": {"epsilon": 0.005, "tc": 1},
+        "probe_s": {"epsilon": 0.005, "tc": 1},
+        "grid": grid or {"n": 48, "extent": 3.0},
+        "outputs": ["metrics"],
+    }
+
+
 def _base_config(**grid):
-    return parse_config(
-        {
-            "medium": {"gamma31": 1.0, "gamma21": 0.05, "delta": 0.0, "d": 8.0},
-            "control": {"epsilon": 4.0, "tc": 1},
-            "probe_p": {"epsilon": 0.005, "tc": 1},
-            "probe_s": {"epsilon": 0.005, "tc": 1},
-            "grid": grid or {"n": 48, "extent": 3.0},
-            "outputs": ["metrics"],
-        }
-    )
+    return parse_config(_base_doc(**grid))
 
 
 def test_figure_ids_and_rejection(tmp_path):
@@ -230,6 +233,17 @@ def test_ring_reads_evaluate_one_point_per_radius(tmp_path, monkeypatch, ring):
     assert set(sizes[:-1]) == {1, scan}
 
 
+def test_analyse_evaluates_the_exit_faces_once_per_radius(monkeypatch):
+    cfg = _interference_base(CRESCENT_DEPTH, ("images", "metrics"))  # fig4's delta = 0 cell
+    fields = compute_fields(cfg)
+    calls = _counting_exit_faces(monkeypatch)
+    analyse(cfg, fields)
+    step = 2.0 * cfg.grid.extent / (cfg.grid.n - 1)
+    scan = np.arange(0.0, cfg.grid.extent + 0.25 * step, 0.5 * step).size
+    # the six fields share the ring-radius scan, then the pinned ring (18 reads unshared)
+    assert [np.size(control) for _p, control, _probe_p, _probe_s in calls] == [scan, 1]
+
+
 def _assert_manifest_lists_the_files(out: Path):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     on_disk = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
@@ -269,6 +283,107 @@ def test_sweep_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch):
         # the sweep manifest lists every file of the tree but itself
         assert [e["path"] for e in manifest["files"]] == sorted(set(trees[-1]) - {"manifest.json"})
     assert trees[0] == trees[1]
+
+
+ALL_OUTPUTS = ("fields", "images", "profiles", "metrics")
+
+
+@pytest.mark.parametrize(
+    "param, values", [("fig6", None), ("delta", (-3, 0, 3)), ("lc", (-2, 1, 3)), ("amp", (0, 2.5, 4))]
+)
+def test_each_sweep_cell_is_the_run_of_its_config(tmp_path, param, values):
+    # cells share the grid and the beams they all have: that must not move a byte
+    if param == "fig6":
+        base, param, values = _FIGURES["fig6"][:3]
+        reproduce_figure("fig6", tmp_path / "sweep")
+    else:
+        base = replace(_base_config(n=32, extent=3.0), outputs=ALL_OUTPUTS)
+        run_sweep(base, param, values, tmp_path / "sweep")
+    for label, cfg in _sweep_cells(base, param, values):
+        run_config(cfg, tmp_path / "alone" / label)
+        assert _tree_bytes(tmp_path / "sweep" / label) == _tree_bytes(tmp_path / "alone" / label)
+
+
+def _counting(monkeypatch, module, *names) -> dict:
+    calls = {name: [] for name in names}
+    for name in names:
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _real=real, _calls=calls[name]: _calls.append(a) or _real(*a)
+        )
+    return calls
+
+
+def test_sweeps_sample_each_shared_grid_and_beam_once(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, runner, "make_grid", "sample_lg")
+    # fig4: 7 cells of one control and one probe beam; fig3: 3 controls, one probe
+    for fig, samples in (("fig4", 2), ("fig3", 4)):
+        reproduce_figure(fig, tmp_path / fig)
+        assert (len(calls["make_grid"]), len(calls["sample_lg"])) == (1, samples), fig
+        for made in calls.values():
+            made.clear()
+    cfg = load_config(CONFIGS / "interference.json")
+    assert cfg.probe_p == cfg.probe_s
+    compute_fields(cfg)
+    assert (len(calls["make_grid"]), len(calls["sample_lg"])) == (1, 2)
+
+
+def test_a_sweep_shares_only_the_beams_of_every_cell(tmp_path, monkeypatch):
+    cfg = _base_config(n=64, extent=3.0)
+    samples = _counting(monkeypatch, runner, "sample_lg")["sample_lg"]
+    shared = []
+    real = figures.compute_fields
+    monkeypatch.setattr(figures, "compute_fields", lambda c, s: shared.append(s) or real(c, s))
+    run_sweep(cfg, "lc", [1, 2, 3, 4, 5], tmp_path / "sweep")
+    # the probes, sampled once before the cells ran; each cell samples its own control
+    assert len(shared) == 5 and all(s is shared[0] for s in shared)
+    assert list(shared[0][1]) == [runner._beam_key(cfg.probe_p)]
+    assert samples[0][0] == cfg.probe_p
+    assert sorted(spec.tc for spec, _grid in samples[1:]) == [1, 2, 3, 4, 5]
+
+
+def test_shared_inputs_must_lie_on_the_run_grid():
+    coarse, fine = _base_config(n=32, extent=3.0), _base_config(n=48, extent=3.0)
+    with pytest.raises(GridMismatchError):
+        runner.shared_inputs([coarse, fine])
+    with pytest.raises(GridMismatchError):
+        compute_fields(coarse, runner.shared_inputs([fine]))
+
+
+def _write_doc(path: Path, **overrides) -> Path:
+    """The base document on a 16-point grid with every product, overridden."""
+    doc = {**_base_doc(n=16, extent=3.0), "outputs": list(ALL_OUTPUTS), **overrides}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_probes_of_opposite_zero_signs_keep_their_own_samples(tmp_path):
+    # equal as LGBeamSpecs, yet -0.0 prints -0 where 0.0 prints 0
+    probes = {"probe_p": {"epsilon": 0.0, "tc": 1}, "probe_s": {"epsilon": -0.0, "tc": 1}}
+    path = _write_doc(tmp_path / "doc.json", **probes)
+    assert cli.main(["fields", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    cfg = load_config(path)
+    assert cfg.probe_p == cfg.probe_s and math.copysign(1.0, cfg.probe_s.epsilon) < 0
+    grid = make_grid(cfg.grid.n, cfg.grid.extent)
+    beams = (cfg.control, cfg.probe_p, cfg.probe_s)
+    fields = output_fields(cfg.medium, *(sample_lg(beam, grid) for beam in beams))
+    write_products(cfg, tmp_path / "alone", fields, analyse(cfg, fields))
+    run = _tree_bytes(tmp_path / "run")
+    assert run == _tree_bytes(tmp_path / "alone")
+    assert b",-0," in run["fields/omega_s.csv"] and b",-0," not in run["fields/omega_d.csv"]
+
+
+def test_an_amp_sweep_over_opposite_zero_signs_runs_each_cell_alone(tmp_path):
+    path = _write_doc(tmp_path / "doc.json", grid={"n": 32, "extent": 3.0})
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--param", "amp", "--values=-0,0", "--config", str(path), "--out", str(out)]
+    assert cli.main(argv) == 0
+    trees = []
+    for label, cfg in _sweep_cells(load_config(path), "amp", [-0.0, 0.0]):
+        run_config(cfg, tmp_path / "alone" / label)
+        trees.append(_tree_bytes(out / label))
+        assert trees[-1] == _tree_bytes(tmp_path / "alone" / label), label
+    assert trees[0]["fields/omega_fs.csv"] != trees[1]["fields/omega_fs.csv"]
 
 
 CONTROL_AMPLITUDES = (0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 12.0, 16.0, 32.0)

@@ -1,3 +1,8 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,6 +303,83 @@ def test_output_fields_grid_mismatch():
     ps = sample_lg(LGBeamSpec(0.005, 0), g1)
     with pytest.raises(GridMismatchError):
         output_fields(CANON, ctrl, pp, ps)
+
+
+def _ring_read_fields():
+    """Inputs of orders lc = 1, lp = 1, ls = 0 and their outputs."""
+    g = make_grid(48, 3.0)
+    specs = (LGBeamSpec(4.0, 1), LGBeamSpec(0.005, 1), LGBeamSpec(0.005, 0))
+    inputs = [sample_lg(spec, g) for spec in specs]
+    return inputs, output_fields(CANON, *inputs)
+
+
+def test_ring_reads_equal_an_uncached_evaluation():
+    inputs, out = _ring_read_fields()
+    radials = [next(iter(f.orders.values())) for f in inputs]
+    # (field, the order that carries an exit face, that face) for lc = lp = 1, ls = 0
+    parts = [("omega_d", -1, "omega_fp"), ("omega_u", 2, "omega_fs"), ("omega_fp", -1, "omega_fp"),
+             ("omega_fs", 2, "omega_fs"), ("omega_s", 0, "omega_s"), ("omega_p", 1, "omega_p")]
+    radii = [0.5, np.array(0.5), 0.0, -0.0, np.array([0.0, -0.0, 1.25]),
+             np.array([-0.0, 0.0, 1.25]), 0.5, np.linspace(0.0, 3.0, 7), 0.0,
+             np.array([[0.25, 1.0]]), -0.0]
+    signed = []
+    for r in radii:
+        want = propagation._exit_faces(CANON, *(radial(r) for radial in radials))
+        signed.append(np.asarray(want["omega_p"]).tobytes())
+        for name, k, face in parts:
+            got = out[name].orders[k](r)
+            assert np.shape(got) == np.shape(want[face])
+            assert np.asarray(got).tobytes() == np.asarray(want[face]).tobytes(), (name, r)
+    assert signed[2] != signed[3]  # the signs of zero radii reach the bits
+
+
+def test_ring_reads_cannot_be_written():
+    _inputs, out = _ring_read_fields()
+    [fp] = out["omega_fp"].orders.values()
+    for r in (np.linspace(0.0, 3.0, 5), 0.5, np.linspace(0.0, 3.0, 5)):
+        with pytest.raises(ValueError, match="read-only"):
+            fp(r)[...] = 0.0
+
+
+def test_ring_reads_from_many_threads_stay_exact_and_bounded():
+    inputs, out = _ring_read_fields()
+    [fp] = out["omega_fp"].orders.values()
+    radials = [next(iter(f.orders.values())) for f in inputs]
+    radii = [np.linspace(0.0, 3.0, 5 + i) for i in range(5)]
+    want = [propagation._exit_faces(CANON, *(rad(r) for rad in radials))["omega_fp"] for r in radii]
+    wrong = []
+
+    def read(seed):
+        for j in range(300):
+            i = (seed + j * (seed + 1)) % len(radii)
+            try:
+                if fp(radii[i]).tobytes() != want[i].tobytes():
+                    wrong.append(i)
+            except Exception as exc:  # a lost update of the shared cache
+                wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and wrong == []
+    held = [weakref.ref(fp(r)) for r in radii]
+    gc.collect()
+    assert sum(ref() is not None for ref in held) <= propagation.RING_READS
+
+
+def test_ring_reads_hold_a_fixed_number_of_radii():
+    _inputs, out = _ring_read_fields()
+    [fp] = out["omega_fp"].orders.values()
+    held = [weakref.ref(fp(np.array([0.01 * i, 1.0]))) for i in range(100)]
+    gc.collect()
+    assert 1 <= sum(ref() is not None for ref in held) <= propagation.RING_READS
 
 
 def test_probe_scaling_scales_outputs():
