@@ -29,12 +29,21 @@ def _write_pnm(path, magic: str, pixels: np.ndarray) -> None:
         fh.write(pixels[::-1].tobytes())
 
 
+def _quantize(level: np.ndarray) -> np.ndarray:
+    """floor(255 level + 0.5) as uint8, computed in level's own buffer."""
+    level *= 255.0
+    level += 0.5
+    return np.floor(level, out=level).astype(np.uint8)
+
+
 def write_intensity_pgm(field: ComplexField, path) -> None:
     """Binary PGM (P5) of |field|^2 scaled to the image's own maximum; a zero field is black."""
-    inten = np.abs(field.values) ** 2
-    peak = field.peak * field.peak  # squaring is monotone, so this is inten.max()
-    ratio = inten / peak if peak > 0.0 else inten
-    _write_pnm(path, "P5", np.floor(255.0 * ratio + 0.5).astype(np.uint8))
+    peak = field.peak * field.peak  # squaring is monotone, so this is max |field|^2
+    ratio = np.abs(field.values)
+    ratio **= 2
+    if peak > 0.0:
+        ratio /= peak
+    _write_pnm(path, "P5", _quantize(ratio))
 
 
 def write_phase_ppm(field: ComplexField, path) -> None:
@@ -43,20 +52,30 @@ def write_phase_ppm(field: ComplexField, path) -> None:
     hue = (arg + pi) / (2 pi) through the standard hue wheel; pixels whose
     amplitude is below analysis.AMPLITUDE_FLOOR of the field maximum are
     black (phase there is noise), and so is every pixel of a zero field.
+    The arithmetic runs in three reused float buffers, never in field.values.
     """
-    amp = np.abs(field.values)
+    threshold = AMPLITUDE_FLOOR * field.peak
+    h6 = np.abs(field.values)
+    dark = (h6 < threshold) | (h6 == 0.0)
     # arg lies in [-pi, pi] and rounding is monotone, so hue lies in [0, 1];
-    # taking it mod 1 only maps 1 to 0
-    hue = (np.angle(field.values) + np.pi) / (2.0 * np.pi)
-    hue[hue == 1.0] = 0.0
-    h6 = hue * 6.0
+    # its one value outside the wheel's [0, 1), 1, is mapped to 0
+    np.arctan2(field.values.imag, field.values.real, out=h6)  # np.angle
+    h6 += np.pi
+    h6 /= 2.0 * np.pi
+    h6[h6 == 1.0] = 0.0
+    h6 *= 6.0
     # piecewise-linear wheel, full saturation and brightness: each segment
     # is an exact (Sterbenz) difference of h6, clipped to [0, 1]
-    wheel = np.maximum(2.0 - h6, h6 - 4.0), np.minimum(h6, 4.0 - h6), np.minimum(h6 - 2.0, 6.0 - h6)
+    level, other = np.empty_like(h6), np.empty_like(h6)
     rgb = np.empty(h6.shape + (3,), dtype=np.uint8)
-    for k, level in enumerate(wheel):
-        rgb[..., k] = np.floor(255.0 * np.clip(level, 0.0, 1.0) + 0.5)
-    rgb[(amp < AMPLITUDE_FLOOR * field.peak) | (amp == 0.0)] = 0
+
+    def put(k: int, wheel: np.ndarray) -> None:
+        rgb[..., k] = _quantize(np.clip(wheel, 0.0, 1.0, out=wheel))
+
+    put(0, np.maximum(np.subtract(2.0, h6, out=level), np.subtract(h6, 4.0, out=other), out=level))
+    put(1, np.minimum(h6, np.subtract(4.0, h6, out=other), out=level))
+    put(2, np.minimum(np.subtract(h6, 2.0, out=level), np.subtract(6.0, h6, out=other), out=level))
+    rgb[dark] = 0
     _write_pnm(path, "P6", rgb)
 
 

@@ -1,6 +1,7 @@
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from vortex_twm.errors import (
     StepCountError,
 )
 from vortex_twm.medium import CoherencePair, MediumParams, beta_factor, y_factor
+from vortex_twm.figures import _FIGURES, _sweep_cells
 from vortex_twm.propagation import (
     SERIES_SWITCH,
     ChannelState,
@@ -25,6 +27,7 @@ from vortex_twm.propagation import (
     solve_channel_p,
     solve_channel_s,
 )
+from vortex_twm.runner import compute_fields
 
 CANON = MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=100.0)
 
@@ -473,3 +476,80 @@ def test_channel_factors_match_full_array_formula(p, z):
         for g, w in zip(got, want):
             assert np.shape(g) == np.shape(w)
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+# ------------------------------------------- factors per distinct |control|
+
+
+def _preset_controls():
+    """(id, medium, control raster) of fig3 (lc 1-3), fig4 (delta -9, 9) and fig6 (lc 4)."""
+    cases = []
+    for fig, values in (("fig3", (1, 2, 3)), ("fig4", (-9.0, 9.0)), ("fig6", (4,))):
+        base, param = _FIGURES[fig][:2]
+        for label, cfg in _sweep_cells(base, param, values):
+            grid = make_grid(cfg.grid.n, cfg.grid.extent)
+            cases.append((f"{fig}-{label}", cfg.medium, sample_lg(cfg.control, grid).values))
+    return cases
+
+
+def _assert_factors_match_full_array(p, control):
+    got = propagation._channel_factors(p, control, p.length)
+    want = _full_array_factors(p, control, p.length)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+@pytest.mark.parametrize("case", _preset_controls(), ids=lambda case: case[0])
+def test_factors_of_preset_controls_match_full_array_formula(case):
+    _id, p, control = case
+    rng = np.random.default_rng(0)
+    _assert_factors_match_full_array(p, control)
+    permuted = rng.permutation(control.ravel()).reshape(control.shape)
+    for c in (permuted, control[::3, 1::2], control.T, control[::-1, ::-2], permuted[:, 5]):
+        _assert_factors_match_full_array(p, c)
+
+
+def _nan(payload: int) -> float:
+    return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0]
+
+
+def test_factors_of_non_finite_controls_match_full_array_formula(monkeypatch):
+    seen = []
+    real = propagation.beta_factor
+    monkeypatch.setattr(propagation, "beta_factor", lambda p, c: seen.append(c) or real(p, c))
+    amps = np.array([np.inf, -np.inf, _nan(1), _nan(2), 1.0, 0.0, _nan(1), -4.0, np.inf])
+    with np.errstate(all="ignore"):
+        for control in (amps, amps * 1j, amps.astype(complex).reshape(3, 3).T):
+            _assert_factors_match_full_array(CANON, control)
+    # every distinct bit pattern of |control| is evaluated once: the two NaNs stay apart
+    distinct = [np.inf, _nan(1), _nan(2), 1.0, 0.0, 4.0]
+    assert sorted(v.tobytes() for v in seen[0]) == sorted(np.float64(a).tobytes() for a in distinct)
+
+
+def test_factors_of_integer_and_float32_controls_match_full_array_formula():
+    # magnitudes that are not float64 cannot be told apart by float64 bits
+    for control in (np.array([0, 1, 4, -4, 1]), np.array([[0.5, 4.0], [0.5, 1.0]], np.float32)):
+        _assert_factors_match_full_array(CANON, control)
+
+
+def test_fig4_control_is_evaluated_once_per_distinct_magnitude(monkeypatch):
+    sizes = []
+    real = propagation.beta_factor
+    monkeypatch.setattr(propagation, "beta_factor", lambda p, c: sizes.append(np.size(c)) or real(p, c))
+    cfg = _FIGURES["fig4"][0]
+    compute_fields(cfg)
+    assert cfg.grid.n**2 == 66049
+    assert sizes == [10067]  # not 66049
+
+
+def test_channel_factors_hold_few_rasters():
+    n = 512
+    control = sample_lg(LGBeamSpec(4.0, 1), make_grid(n, 3.0)).values
+    tracemalloc.start()
+    try:
+        propagation._channel_factors(CANON, control, CANON.length)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 16 * n * n  # two complex factor rasters and the magnitude classes

@@ -356,3 +356,94 @@ def test_phase_ppm_matches_select_wheel_random(tmp_path, seed):
     vals = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     vals *= 10.0 ** rng.integers(-14, 0, size=(9, 9))
     _assert_ppm_matches_oracle(ComplexField(make_grid(9, 2.0), vals), tmp_path / f"r{seed}.ppm")
+
+
+# ------------------------------------------------------ former image writers
+# The two writers as they were before they worked in reused buffers, kept as
+# the reference for their bytes.
+
+
+def _former_pnm(magic: str, pixels: np.ndarray) -> bytes:
+    n = pixels.shape[0]
+    return f"{magic}\n{n} {n}\n255\n".encode("ascii") + pixels[::-1].tobytes()
+
+
+def _former_pgm(field: ComplexField) -> bytes:
+    inten = np.abs(field.values) ** 2
+    peak = field.peak * field.peak
+    ratio = inten / peak if peak > 0.0 else inten
+    return _former_pnm("P5", np.floor(255.0 * ratio + 0.5).astype(np.uint8))
+
+
+def _former_ppm(field: ComplexField) -> bytes:
+    amp = np.abs(field.values)
+    hue = (np.angle(field.values) + np.pi) / (2.0 * np.pi)
+    hue[hue == 1.0] = 0.0
+    h6 = hue * 6.0
+    wheel = np.maximum(2.0 - h6, h6 - 4.0), np.minimum(h6, 4.0 - h6), np.minimum(h6 - 2.0, 6.0 - h6)
+    rgb = np.empty(h6.shape + (3,), dtype=np.uint8)
+    for k, level in enumerate(wheel):
+        rgb[..., k] = np.floor(255.0 * np.clip(level, 0.0, 1.0) + 0.5)
+    rgb[(amp < AMPLITUDE_FLOOR * field.peak) | (amp == 0.0)] = 0
+    return _former_pnm("P6", rgb)
+
+
+def _assert_writers_match_former(field: ComplexField, tmp_path) -> None:
+    before = field.values.tobytes()
+    write_intensity_pgm(field, tmp_path / "i.pgm")
+    write_phase_ppm(field, tmp_path / "p.ppm")
+    assert (tmp_path / "i.pgm").read_bytes() == _former_pgm(field)
+    assert (tmp_path / "p.ppm").read_bytes() == _former_ppm(field)
+    assert field.values.tobytes() == before
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_writers_match_former_on_random_phases(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.random((33, 33)) * 10.0 ** rng.integers(-6, 3, size=(33, 33))
+    phase = rng.uniform(-np.pi, np.pi, size=(33, 33))
+    _assert_writers_match_former(ComplexField(make_grid(33, 2.0), amp * np.exp(1j * phase)), tmp_path)
+
+
+def test_writers_match_former_at_angle_pi(tmp_path):
+    # arg(-1 + 0j) is pi exactly, so hue is 1.0, the one value mapped to 0
+    assert (np.angle(-1.0 + 0.0j) + np.pi) / (2.0 * np.pi) == 1.0
+    values = [-1.0 + 0.0j, complex(-1.0, -0.0), -3.0 + 0.0j, 1.0, 1j, -1j]
+    _assert_writers_match_former(_field_2x2(np.reshape(values[:4], (2, 2))), tmp_path)
+    _assert_writers_match_former(_field_2x2(np.reshape(values[2:], (2, 2))), tmp_path)
+
+
+def test_writers_match_former_at_the_amplitude_floor(tmp_path):
+    at = 2.0 * AMPLITUDE_FLOOR  # exactly AMPLITUDE_FLOOR * peak for the peak 2.0
+    values = np.array([[2.0, at * 1j], [np.nextafter(at, 0.0) * -1j, -at]])
+    _assert_writers_match_former(_field_2x2(values), tmp_path)
+    img = _read_ppm(tmp_path / "p.ppm")
+    assert img[0].any(axis=-1).tolist() == [False, True]  # file row 0 is grid row 1
+    assert img[1].any(axis=-1).tolist() == [True, True]
+
+
+def test_writers_match_former_on_a_zero_field(tmp_path):
+    _assert_writers_match_former(_field_2x2(np.zeros((2, 2))), tmp_path)
+    assert not _read_pgm(tmp_path / "i.pgm").any() and not _read_ppm(tmp_path / "p.ppm").any()
+
+
+def test_writers_leave_read_only_values_unchanged(tmp_path):
+    values = sample_lg(LGBeamSpec(1.0, 2), make_grid(32, 3.0)).values.copy()
+    values.flags.writeable = False
+    field = ComplexField(make_grid(32, 3.0), values)
+    assert field.values is values
+    _assert_writers_match_former(field, tmp_path)
+
+
+@pytest.mark.parametrize("writer, rasters", [(write_intensity_pgm, 2.0), (write_phase_ppm, 5.0)])
+def test_image_writers_hold_few_rasters(tmp_path, writer, rasters):
+    n = 512
+    rng = np.random.default_rng(7)
+    field = ComplexField(make_grid(n, 3.0), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    tracemalloc.start()
+    try:
+        writer(field, tmp_path / "image")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= rasters * 8 * n * n  # in float64 rasters, the peak scan included
