@@ -17,30 +17,29 @@ import numpy as np
 from .errors import InvalidConfigError, integer, real
 
 GRID_N_MAX = 4096  # one 4096^2 complex field is 256 MiB
+EPSILON_MAX = 1e100  # every product of a run at this amplitude stays finite
 
 
 @dataclass(eq=False)
 class Grid2D:
     """Square transverse grid centered on the beam axis.
 
-    The same 1-D coordinate array is used for both axes.  Derived per-pixel
-    coordinate arrays are indexed [row, col] = [y index, x index] with both
-    axes ascending; theta = atan2(y, x) lies in (-pi, pi] because the axis
-    contains +0.0, never -0.0.
+    The same 1-D coordinate array is used for both axes.  The per-pixel
+    polar rasters r and theta, the only ones a grid stores, are indexed
+    [row, col] = [y index, x index] with both axes ascending; pixel (j, i)
+    lies at x = axis[i], y = axis[j].  theta = atan2(y, x) lies in
+    (-pi, pi] because the axis contains +0.0, never -0.0.
     """
 
     axis: np.ndarray
     extent: float
-    x: np.ndarray = field(init=False, repr=False)
-    y: np.ndarray = field(init=False, repr=False)
     r: np.ndarray = field(init=False, repr=False)
     theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.axis = np.asarray(self.axis, dtype=float)
-        self.x, self.y = np.meshgrid(self.axis, self.axis)
-        self.r = np.hypot(self.x, self.y)
-        self.theta = np.arctan2(self.y, self.x)
+        self.r = np.hypot(self.axis, self.axis[:, None])
+        self.theta = np.arctan2(self.axis[:, None], self.axis)
 
     @property
     def n(self) -> int:
@@ -98,6 +97,10 @@ class LGBeamSpec:
             object.__setattr__(self, f.name, typed(f"beam.{f.name}", getattr(self, f.name)))
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise InvalidConfigError(f"beam.epsilon must be >= 0, got {self.epsilon!r}")
+        if self.epsilon > EPSILON_MAX:
+            raise InvalidConfigError(
+                f"beam.epsilon = {self.epsilon!r} exceeds the ceiling {EPSILON_MAX!r}"
+            )
         if not math.isfinite(self.waist) or self.waist <= 0:
             raise InvalidConfigError(f"beam.waist must be positive, got {self.waist!r}")
 
@@ -109,12 +112,15 @@ class ComplexField:
     orders, if set, maps each angular order k to its radial part R_k(r):
     the field is sum_k R_k(r) exp(i k theta) at any polar point, and values
     is that sum on the grid up to rounding.  A bare array has none.
+    peak is the largest amplitude |value| on the grid.  A value with a NaN
+    or infinite part, or with finite parts whose modulus overflows, is
+    rejected, so peak is finite.
     """
 
     grid: Grid2D
     values: np.ndarray
     orders: dict[int, Callable[[np.ndarray], np.ndarray]] | None = None
-    _peak: float | None = field(default=None, init=False, repr=False)
+    peak: float = field(init=False)
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=complex)
@@ -122,20 +128,9 @@ class ComplexField:
             raise InvalidConfigError(
                 f"field shape {self.values.shape} does not match grid n={self.grid.n}"
             )
-        if not np.all(np.isfinite(self.values.view(float))):
+        self.peak = float(np.max(np.abs(self.values)))  # NaN or inf if any value is
+        if not math.isfinite(self.peak):
             raise InvalidConfigError("field contains non-finite values")
-
-    @property
-    def peak(self) -> float:
-        """Largest amplitude |value| on the grid, scanned on first use.
-
-        Stored without a lock, so peak scans of fields on different threads
-        never wait on each other; two threads racing on one field both scan
-        and store the same value.
-        """
-        if self._peak is None:
-            self._peak = float(np.max(np.abs(self.values)))
-        return self._peak
 
 
 def _lg(spec: LGBeamSpec, r, theta):

@@ -115,9 +115,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InvalidConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

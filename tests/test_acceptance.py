@@ -159,7 +159,8 @@ def test_criterion_05_anti_phased_crescents():
         np.abs(fields["omega_d"].values) ** 2
         + np.abs(fields["omega_u"].values) ** 2
     ).ravel()
-    keys = np.round((grid.x**2 + grid.y**2).ravel(), 10)
+    x, y = np.meshgrid(grid.axis, grid.axis)
+    keys = np.round((x**2 + y**2).ravel(), 10)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     total = total[order]

@@ -1,4 +1,4 @@
-import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,8 @@ def test_lg_hand_value():
     f = sample_lg(LGBeamSpec(1.0, 2), g)
     c = g.n // 2
     j = c + 64  # y = 1.0 exactly (step = 4/256)
-    assert g.y[j, c] == 1.0
+    _, y = np.meshgrid(g.axis, g.axis)
+    assert y[j, c] == 1.0
     assert f.values[j, c] == pytest.approx(-np.exp(-1.0), abs=1e-15)
 
 
@@ -138,6 +139,44 @@ def test_complex_field_validation():
         ComplexField(g, bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(-np.inf, 0.0),
+     complex(0.0, np.inf), complex(0.0, -np.inf), complex(1.5e308, 1.5e308)],
+    ids=["nan_re", "nan_im", "inf_re", "-inf_re", "inf_im", "-inf_im", "modulus_overflows"],
+)
+def test_complex_field_rejects_a_non_finite_amplitude(bad):
+    values = np.ones((8, 8), dtype=complex)
+    values[2, 5] = bad
+    with pytest.raises(InvalidConfigError, match="^field contains non-finite values$"):
+        ComplexField(make_grid(8, 1.0), values)
+    values[2, 5] = complex(1e308, 1e308)  # both parts near the float limit, modulus finite
+    assert ComplexField(make_grid(8, 1.0), values).peak == abs(complex(1e308, 1e308))
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 256, 257, 1024])
+@pytest.mark.parametrize("extent", [0.5, 3.0, 7.25])
+def test_grid_polar_rasters_match_meshgrid(n, extent):
+    g = make_grid(n, extent)
+    x, y = np.meshgrid(g.axis, g.axis)
+    assert g.r.shape == g.theta.shape == (n, n)
+    assert g.r.tobytes() == np.hypot(x, y).tobytes()  # bitwise, signed zeros included
+    assert g.theta.tobytes() == np.arctan2(y, x).tobytes()
+
+
+def test_make_grid_builds_only_its_two_rasters():
+    n = 512
+    tracemalloc.start()
+    try:
+        g = make_grid(n, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    raster = n * n * 8
+    assert g.r.nbytes == g.theta.nbytes == raster
+    assert peak <= 2.5 * raster, f"make_grid peaked at {peak / raster:.2f} rasters"
+
+
 def test_grid_same_as():
     a = make_grid(16, 2.0)
     b = make_grid(16, 2.0)
@@ -161,33 +200,3 @@ def test_peak_is_the_largest_amplitude_of_each_output():
         want = np.max(np.abs(field.values))
         assert field.peak == want and type(field.peak) is float
         assert field.peak is field.peak  # scanned once, then cached
-
-
-def test_peak_scans_of_two_fields_do_not_wait_on_each_other():
-    # field A's scan is held inside np.abs until released; B's peak must not wait for it
-    entered, release = threading.Event(), threading.Event()
-
-    class Held(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            entered.set()
-            release.wait(10.0)
-            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
-
-    g = make_grid(8, 1.0)
-    a, b = sample_lg(LGBeamSpec(1.0, 1), g), sample_lg(LGBeamSpec(2.0, 1), g)
-    a_peak = float(np.max(np.abs(a.values)))
-    a.values = a.values.view(Held)
-    held = threading.Thread(target=lambda: a.peak)
-    held.start()
-    try:
-        assert entered.wait(5.0)
-        got = []
-        other = threading.Thread(target=lambda: got.append(b.peak))
-        other.start()
-        other.join(5.0)
-        assert got == [float(np.max(np.abs(b.values)))]
-    finally:
-        release.set()
-        held.join(10.0)
-    assert not held.is_alive() and not other.is_alive()
-    assert a.peak == a_peak

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import vortex_twm
 from vortex_twm import cli
 from vortex_twm.analysis import azimuthal_profile, winding_number
-from vortex_twm.beams import LGBeamSpec, make_grid
+from vortex_twm.beams import EPSILON_MAX, LGBeamSpec, make_grid
 from vortex_twm._parallel import map_items
 from vortex_twm.config import (
     AnalysisSpec,
@@ -541,6 +541,44 @@ def test_cli_rejects_analysis_m_over_ceiling(tmp_path, capsys):
     doc = _small_doc(analysis={"radius": "auto", "m": 65537})
     _cli_rejects(tmp_path, capsys, doc, "analysis.m = 65537 exceeds the ceiling 65536")
     assert parse_config(_small_doc(analysis={"radius": "auto", "m": 65536})).analysis.m == 65536
+
+
+def _all_outputs_doc(name, epsilons):
+    doc = json.loads((CONFIGS / name).read_text())
+    for beam, epsilon in zip(("control", "probe_p", "probe_s"), epsilons):
+        doc[beam]["epsilon"] = epsilon
+    return {**doc, "outputs": ["fields", "images", "profiles", "metrics"]}
+
+
+def test_cli_rejects_a_beam_amplitude_over_ceiling(tmp_path, capsys):
+    # 1e308 used to exit 0 after overflow warnings, with inf profiles and a wrong ring radius
+    path = _write_doc(tmp_path, _all_outputs_doc("interference.json", (4.0, 1e308, 0.005)))
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: probe_p.epsilon = 1e+308 exceeds the ceiling 1e+100\n"
+    assert not out.exists()
+
+
+def test_cli_sweep_rejects_an_amplitude_over_ceiling(tmp_path, capsys):
+    out = tmp_path / "X"
+    config = str(CONFIGS / "interference.json")
+    argv = ["sweep", "--param", "amp", "--values=1e200", "--config", config]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: beam.epsilon = 1e+200 exceeds the ceiling 1e+100\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["transfer.json", "interference.json"])
+def test_beams_at_the_amplitude_ceiling_run_clean(tmp_path, name):
+    # any numpy RuntimeWarning (overflow, invalid value) fails the suite
+    with pytest.warns(WeakProbeWarning):
+        cfg = parse_config(_all_outputs_doc(name, (EPSILON_MAX,) * 3))
+    run_config(cfg, tmp_path / "run")
+    tables = sorted((tmp_path / "run").rglob("*.csv"))
+    assert len(tables) == 13  # six fields, six profiles, metrics
+    for table in tables:
+        text = table.read_text().lower()
+        assert "inf" not in text and "nan" not in text, table.name
 
 
 def test_cli_rejects_analysis_m_under_16(tmp_path, capsys):

@@ -146,8 +146,9 @@ def test_field_csv_round_trip_exact(tmp_path, seed):
     p = tmp_path / f"rt{seed}.csv"
     write_field_csv(f, p)
     data = np.loadtxt(p, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], g.x.ravel())
-    assert np.array_equal(data[:, 1], g.y.ravel())
+    x, y = np.meshgrid(g.axis, g.axis)
+    assert np.array_equal(data[:, 0], x.ravel())
+    assert np.array_equal(data[:, 1], y.ravel())
     assert np.array_equal(data[:, 2] + 1j * data[:, 3], vals.ravel())
 
 
@@ -203,8 +204,9 @@ def _savetxt(path, header, columns):
 
 def _assert_field_matches_oracle(f, tmp_path, tag=""):
     v = f.values
+    x, y = np.meshgrid(f.grid.axis, f.grid.axis)
     ref, got = tmp_path / f"ref{tag}.csv", tmp_path / f"got{tag}.csv"
-    _savetxt(ref, "x,y,re,im", [f.grid.x.ravel(), f.grid.y.ravel(), v.real.ravel(), v.imag.ravel()])
+    _savetxt(ref, "x,y,re,im", [x.ravel(), y.ravel(), v.real.ravel(), v.imag.ravel()])
     write_field_csv(f, got)
     assert got.read_bytes() == ref.read_bytes()
 
