@@ -2,8 +2,9 @@
 
 Ring observables read the amplitudes R_k(r) of the field's angular orders
 (ComplexField.orders), never the grid, and are exact; a field without
-orders raises NoClosedFormError.  All angular quantities follow the grid
-convention theta = atan2(y, x) measured counterclockwise from +x.
+orders raises NoClosedFormError.  Each is its checks plus a step on the
+amplitudes that runner.analyse reuses.  All angular quantities follow the
+grid convention theta = atan2(y, x) measured counterclockwise from +x.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import ComplexField
+from .beams import ComplexField, Grid2D
 from .errors import (
     AmplitudeFloorError,
     InvalidConfigError,
@@ -99,9 +100,14 @@ def winding_number(field: ComplexField, radius: float | None = None) -> int:
     if radius is None:
         radius = ring_radius(field)
     radius = check_radius(radius, field.grid.extent)
+    return dominant_order(field, _amplitudes(field, radius))
+
+
+def dominant_order(field: ComplexField, amps: dict) -> int:
+    """winding_number of field from amps, its {k: R_k} on the ring."""
     if field.peak == 0.0:
         raise AmplitudeFloorError("zero field has no phase to wind")
-    mags = {k: float(abs(a)) for k, a in _amplitudes(field, radius).items()}
+    mags = {k: float(abs(a)) for k, a in amps.items()}
     top = max(mags, key=mags.get)
     if 2.0 * mags[top] - sum(mags.values()) < AMPLITUDE_FLOOR * field.peak:
         raise AmplitudeFloorError(
@@ -114,7 +120,12 @@ def azimuthal_profile(field: ComplexField, radius: float, m: int = DEFAULT_M) ->
     """Intensity |field|^2 at m uniform angles of the given ring, with its orders."""
     m = AnalysisSpec(m=m).m
     radius = check_radius(radius, field.grid.extent)
-    amps = {k: complex(a) for k, a in _amplitudes(field, radius).items()}
+    return ring_profile(radius, _amplitudes(field, radius), m)
+
+
+def ring_profile(radius: float, amps: dict, m: int) -> AzimuthalProfile:
+    """azimuthal_profile on the ring of that radius from amps, the field's {k: R_k} there."""
+    amps = {k: complex(a) for k, a in amps.items()}
     thetas = 2.0 * np.pi * np.arange(m) / m
     vals = sum(a * np.exp(1j * k * thetas) for k, a in amps.items())
     return AzimuthalProfile(radius, thetas, np.abs(vals) ** 2, amps)
@@ -166,16 +177,21 @@ def peak_angle(profile: AzimuthalProfile) -> float:
 
 
 def ring_radius(field: ComplexField) -> float:
-    """Radius maximizing the azimuthally averaged intensity sum_k |R_k(r)|^2.
+    """The radius of scan_radii of largest ring-mean intensity sum_k |R_k(r)|^2, first of ties."""
+    radii = scan_radii(field.grid)
+    return brightest_ring(field, radii, _amplitudes(field, radii))
 
-    Scans rings at half-pixel spacing from the axis to the grid extent.
-    Ties resolve to the smallest radius (deterministic argmax).
-    """
-    g = field.grid
-    if g.n < 2:
-        raise OutOfGridError(f"a single-sample grid (n={g.n}) has no rings to scan")
+
+def scan_radii(grid: Grid2D) -> np.ndarray:
+    """The rings that ring_radius scans: half-pixel spacing from the axis to the grid extent."""
+    if grid.n < 2:
+        raise OutOfGridError(f"a single-sample grid (n={grid.n}) has no rings to scan")
+    return np.arange(0.0, grid.extent + 0.25 * grid.step, 0.5 * grid.step)
+
+
+def brightest_ring(field: ComplexField, radii: np.ndarray, amps: dict) -> float:
+    """ring_radius of field from amps, its {k: R_k} at the scanned radii."""
     if field.peak == 0.0:
         raise ZeroFieldError("ring radius undefined for an all-zero field")
-    radii = np.arange(0.0, g.extent + 0.25 * g.step, 0.5 * g.step)
-    means = sum(np.abs(a) ** 2 for a in _amplitudes(field, radii).values())
+    means = sum(np.abs(a) ** 2 for a in amps.values())
     return float(radii[int(np.argmax(means))])

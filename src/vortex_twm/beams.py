@@ -141,13 +141,17 @@ def _lg(spec: LGBeamSpec, r, theta):
     return spec.epsilon * unit
 
 
+def lg_radial(spec: LGBeamSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """R(r), the radial part of the beam's one order spec.tc: the beam at theta = 0."""
+    return partial(_lg, spec, theta=0.0)
+
+
 def sample_lg(spec: LGBeamSpec, grid: Grid2D) -> ComplexField:
     """Sample eps * (r/w)^|l| * exp(-(r/w)^2) * exp(i*l*theta) on the grid.
 
     The r = 0 pixel is evaluated exactly: 0**0 == 1 gives eps for l = 0,
     and the radial factor is exactly zero for l != 0, so the phase
     singularity needs no epsilon offset.  The field has the one order l,
-    whose radial part is the formula at theta = 0.
+    whose radial part is lg_radial.
     """
-    orders = {spec.tc: partial(_lg, spec, theta=0.0)}
-    return ComplexField(grid, _lg(spec, grid.r, grid.theta), orders)
+    return ComplexField(grid, _lg(spec, grid.r, grid.theta), {spec.tc: lg_radial(spec)})

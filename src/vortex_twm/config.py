@@ -133,7 +133,7 @@ _SECTIONS = dict(
 _DEFAULTS = {"medium": {"delta": 0.0}}
 
 
-def _section(doc: dict, name: str):
+def section(doc: dict, name: str):
     """Section name of doc built as its dataclass, an omitted key taking its default."""
     cls, sec = _SECTIONS[name], doc.get(name, {})
     if not isinstance(sec, dict):
@@ -166,7 +166,7 @@ def parse_config(doc: dict) -> RunConfig:
     if unknown:
         names = ", ".join(map(repr, unknown))
         raise InvalidConfigError(f"unknown config key{'s' * (len(unknown) > 1)} {names}")
-    sections = {name: _section(doc, name) for name in _SECTIONS}
+    sections = {name: section(doc, name) for name in _SECTIONS}
     return RunConfig(**sections, outputs=doc.get("outputs", KNOWN_OUTPUTS))
 
 

@@ -24,11 +24,11 @@ Preset design notes:
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from ._parallel import map_items
-from .config import RunConfig, default_config
+from .config import RunConfig, default_config, section
 from .errors import InvalidConfigError, real
 from .render import write_metrics_csv
 from .runner import (
@@ -144,7 +144,8 @@ def _sweep_cell(cfg: RunConfig, param: str, value: float) -> RunConfig:
         if not value.is_integer():
             raise InvalidConfigError(f"lc sweep values must be integers, got {value!r}")
         return replace(cfg, control=replace(cfg.control, tc=int(value)))
-    return replace(cfg, control=replace(cfg.control, epsilon=value))
+    control = section({"control": {**asdict(cfg.control), "epsilon": value}}, "control")
+    return replace(cfg, control=control)
 
 
 def _sweep_cells(cfg: RunConfig, param: str, values) -> list[tuple[str, RunConfig]]:

@@ -28,7 +28,6 @@ squaring (``medium.rk4_power``).
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +46,6 @@ __all__ = [
 
 # below this the direct sin(beta x)/beta quotient loses accuracy to 0/0
 SERIES_SWITCH = 1e-4
-# exit faces that the outputs of one output_fields call keep, one per radius
-# argument; two cover analysis, which reads each field's scan, then its ring
-RING_READS = 2
 
 
 @dataclass
@@ -208,56 +204,36 @@ def _exit_faces(p: MediumParams, control, probe_p, probe_s) -> dict:
     }
 
 
-def _plus(a, b) -> dict:
-    """Orders of the sum of two single-order terms (k, R_k); one k sums its parts."""
-    (ka, ra), (kb, rb) = a, b
-    return {ka: lambda r: ra(r) + rb(r)} if ka == kb else {ka: ra, kb: rb}
-
-
-def _readonly(value) -> np.ndarray:
-    value = np.asarray(value)
-    value.flags.writeable = False
-    return value
-
-
-def _output_orders(p: MediumParams, inputs) -> dict:
-    """Output orders of inputs (control, probe_p, probe_s); {} unless each has one.
-
-    The six outputs share one _exit_faces evaluation per radius argument:
-    the last RING_READS arguments are kept, keyed by the shape and bytes
-    of the float radii (so -0.0 and 0.0 stay apart), their arrays
-    read-only.  Each is evaluated on the caller's own radii.
-    """
-    if any(f.orders is None or len(f.orders) != 1 for f in inputs):
-        return {}
-    [(lc, c)], [(lp, pp)], [(ls, ps)] = (f.orders.items() for f in inputs)
-    reads, lock = {}, threading.Lock()  # key -> faces, least recently used first
-
-    def faces(r) -> dict:
-        radii = np.asarray(r, dtype=float)
-        key = (radii.shape, radii.tobytes())
-        with lock:
-            hit = reads.pop(key, None)
-        if hit is None:
-            hit = {k: _readonly(v) for k, v in _exit_faces(p, c(r), pp(r), ps(r)).items()}
-        with lock:
-            reads[key] = hit
-            while len(reads) > RING_READS:
-                del reads[next(iter(reads))]
-        return hit
-
-    def face(name):
-        return lambda r: faces(r)[name]
-
-    fp, fs = face("omega_fp"), face("omega_fs")
+def _output_parts(lc: int, lp: int, ls: int) -> dict:
+    """Each output's {k: part}, the input or exit face that is its R_k (a sum where k coincide)."""
     return {
-        "omega_d": _plus((lp, pp), (ls - lc, fp)),
-        "omega_u": _plus((ls, ps), (lc + lp, fs)),
-        "omega_fp": {ls - lc: fp},
-        "omega_fs": {lc + lp: fs},
-        "omega_s": {ls: face("omega_s")},
-        "omega_p": {lp: face("omega_p")},
+        "omega_d": {lp: "omega_d"} if lp == ls - lc else {lp: "probe_p", ls - lc: "omega_fp"},
+        "omega_u": {ls: "omega_u"} if ls == lc + lp else {ls: "probe_s", lc + lp: "omega_fs"},
+        "omega_fp": {ls - lc: "omega_fp"}, "omega_fs": {lc + lp: "omega_fs"},
+        "omega_s": {ls: "omega_s"}, "omega_p": {lp: "omega_p"},
     }
+
+
+def output_rings(p: MediumParams, control, probe_p, probe_s):
+    """rings(r): each output's {k: R_k(r)}, for inputs of one order each, given as (k, R_k).
+
+    One _exit_faces evaluation on the inputs' R_k(r), so a scalar r stays
+    scalar; each call makes new complex arrays shaped as r, and keeps none.
+    """
+    (lc, c), (lp, pp), (ls, ps) = control, probe_p, probe_s
+    table = _output_parts(lc, lp, ls)
+
+    def rings(r) -> dict:
+        b_p, b_s = pp(r), ps(r)
+        faces = {**_exit_faces(p, c(r), b_p, b_s), "probe_p": b_p, "probe_s": b_s}
+        parts = {name: np.asarray(v, dtype=complex) for name, v in faces.items()}
+        return {name: {k: parts[part] for k, part in t.items()} for name, t in table.items()}
+
+    return rings
+
+
+def _order_view(rings, name: str, k: int):
+    return lambda r: rings(r)[name][k]
 
 
 def output_fields(
@@ -286,10 +262,16 @@ def output_fields(
         omega_fp {ls - lc}    omega_s {ls}    omega_d {lp, ls - lc}
         omega_fs {lc + lp}    omega_p {lp}    omega_u {ls, lc + lp}
 
-    Otherwise the outputs have no orders.
+    Otherwise the outputs have no orders.  Each order is a view of
+    output_rings: a call evaluates all six outputs afresh.
     """
     inputs = (control_field, probe_p, probe_s)
     grid = _shared_grid(*inputs)
     values = _exit_faces(p, *(f.values for f in inputs))
-    orders = _output_orders(p, inputs)
+    orders = {}
+    if all(f.orders is not None and len(f.orders) == 1 for f in inputs):
+        pairs = [next(iter(f.orders.items())) for f in inputs]
+        rings = output_rings(p, *pairs)
+        table = _output_parts(*(k for k, _radial in pairs))
+        orders = {name: {k: _order_view(rings, name, k) for k in t} for name, t in table.items()}
     return {name: ComplexField(grid, v, orders.get(name)) for name, v in values.items()}

@@ -19,10 +19,10 @@ import json
 from pathlib import Path
 
 from . import analysis, render
-from .beams import ComplexField, Grid2D, LGBeamSpec, make_grid, sample_lg
+from .beams import ComplexField, Grid2D, LGBeamSpec, lg_radial, make_grid, sample_lg
 from .config import RunConfig, config_to_dict
 from .errors import GridMismatchError, VortexTwmError
-from .propagation import output_fields
+from .propagation import output_fields, output_rings
 
 __all__ = [
     "run_config",
@@ -93,25 +93,18 @@ def _metric_or_blank(fn):
         return ""
 
 
-def field_metrics(
-    name: str, field: ComplexField, cfg: RunConfig
-) -> tuple[dict, analysis.AzimuthalProfile | None]:
-    """Observable row and ring profile (None without a ring) of one field.
+def field_metrics(name: str, field: ComplexField, ring, radius, amps, m: int):
+    """Observable row and ring profile (None without amps) of one field.
 
-    Blanks mark undefined observables.  The brightest ring is found once:
-    it is the ring_radius column and, unless analysis.radius pins one, the
-    sampling ring.
+    ring is its brightest ring, radius its metric ring, amps its {k: R_k}
+    there and m the profile's sample count.  Blanks mark undefined values.
     """
-    ring = _metric_or_blank(lambda: analysis.ring_radius(field))
-    radius = ring if cfg.analysis.radius == "auto" else cfg.analysis.radius
     row = dict.fromkeys(METRIC_COLUMNS, "")
     row.update(field=name, radius=radius, ring_radius=ring)
-    if radius == "":
+    if amps == "":
         return row, None
-    profile = _metric_or_blank(lambda: analysis.azimuthal_profile(field, radius, cfg.analysis.m))
-    if profile == "":
-        return row, None
-    row["winding"] = _metric_or_blank(lambda: analysis.winding_number(field, radius))
+    profile = analysis.ring_profile(radius, amps, m)
+    row["winding"] = _metric_or_blank(lambda: analysis.dominant_order(field, amps))
     row["petal_count"] = _metric_or_blank(lambda: analysis.petal_count(profile))
     row["peak_angle"] = _metric_or_blank(lambda: analysis.peak_angle(profile))
     return row, profile
@@ -151,8 +144,27 @@ def run_config(cfg: RunConfig, out_dir) -> dict:
 
 
 def analyse(cfg: RunConfig, fields: dict[str, ComplexField]) -> dict:
-    """field_metrics (row, profile) of every computed field, keyed by name."""
-    return {name: field_metrics(name, field, cfg) for name, field in fields.items()}
+    """field_metrics (row, profile) of each field of compute_fields(cfg), keyed by name.
+
+    The six fields' rings are read together from cfg's closed form, afresh
+    at each read: once at the radii that ring_radius scans, then once per
+    distinct metric ring, a scalar.  A read that fails leaves blanks.
+    """
+    rings = output_rings(cfg.medium, *((b.tc, lg_radial(b)) for b in _beams(cfg)))
+    radii = analysis.scan_radii(next(iter(fields.values())).grid)
+    scan = _metric_or_blank(lambda: rings(radii))
+    reads, analysed = {"": ""}, {}  # metric ring -> the rings there, "" if unread
+    for name, f in fields.items():
+        ring = scan and _metric_or_blank(lambda: analysis.brightest_ring(f, radii, scan[name]))
+        radius = ring if cfg.analysis.radius == "auto" else cfg.analysis.radius
+        key = str(radius)  # a float's repr keeps -0.0 apart from 0.0
+        if key not in reads:
+            reads[key] = _metric_or_blank(
+                lambda: rings(analysis.check_radius(radius, f.grid.extent))
+            )
+        amps = reads[key] and reads[key][name]
+        analysed[name] = field_metrics(name, f, ring, radius, amps, cfg.analysis.m)
+    return analysed
 
 
 def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField], analysed) -> dict:

@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from vortex_twm.analysis import (
     winding_number,
 )
 from vortex_twm.beams import ComplexField, Grid2D, LGBeamSpec, make_grid, sample_lg
-from vortex_twm.config import default_config
 from vortex_twm.errors import (
     AmplitudeFloorError,
     InvalidConfigError,
@@ -256,12 +254,11 @@ def test_field_without_closed_form_is_not_interpolated():
     for read in (ring_radius, winding_number, lambda f: azimuthal_profile(f, 1.0)):
         with pytest.raises(NoClosedFormError, match="no closed form"):
             read(bare)
-    for radius in ("auto", 1.0):
-        cfg = replace(default_config(), analysis=replace(default_config().analysis, radius=radius))
-        row, profile = field_metrics("omega_fs", bare, cfg)
+    for radius in ("", 1.0):  # a row without a ring read keeps only its radius
+        row, profile = field_metrics("omega_fs", bare, "", radius, "", DEFAULT_M)
         assert profile is None
         assert row["ring_radius"] == row["winding"] == row["petal_count"] == row["peak_angle"] == ""
-        assert row["radius"] == ("" if radius == "auto" else radius)
+        assert row["radius"] == radius
 
 
 # ------------------------------------------- exact ring reads against sampling
@@ -351,7 +348,7 @@ def test_two_equal_orders_leave_the_winding_blank():
     # just above the floor, the larger order wins
     tilted = _ring_field({1: 0.5 + 3.0 * AMPLITUDE_FLOOR, -1: 0.5 * np.exp(0.3j)})
     assert winding_number(tilted, radius=1.0) == 1
-    cfg = replace(default_config(), analysis=replace(default_config().analysis, radius=1.0))
-    row, profile = field_metrics("omega_d", field, cfg)
+    amps = {k: radial(1.0) for k, radial in field.orders.items()}
+    row, profile = field_metrics("omega_d", field, "", 1.0, amps, DEFAULT_M)
     assert row["winding"] == ""
     assert profile is not None and petal_count(profile) == 2

@@ -562,10 +562,15 @@ def test_cli_rejects_a_beam_amplitude_over_ceiling(tmp_path, capsys):
 def test_cli_sweep_rejects_an_amplitude_over_ceiling(tmp_path, capsys):
     out = tmp_path / "X"
     config = str(CONFIGS / "interference.json")
-    argv = ["sweep", "--param", "amp", "--values=1e200", "--config", config]
-    assert cli.main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: beam.epsilon = 1e+200 exceeds the ceiling 1e+100\n"
-    assert not out.exists()
+    # an amp cell names its key control.epsilon, as parse_config does
+    for value, err in (
+        ("1e200", "control.epsilon = 1e+200 exceeds the ceiling 1e+100"),
+        ("-1", "control.epsilon must be >= 0, got -1.0"),
+    ):
+        argv = ["sweep", "--param", "amp", f"--values={value}", "--config", config]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["transfer.json", "interference.json"])

@@ -156,20 +156,20 @@ def test_fig5_structure_and_physics(tmp_path):
     assert table[-9.0][4] < table[0.0][4]
 
 
-def _counting_ring_radius(monkeypatch):
+def _counting_brightest_ring(monkeypatch):
     calls = []
-    real = analysis.ring_radius
+    real = analysis.brightest_ring
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "ring_radius", counted)
+    monkeypatch.setattr(analysis, "brightest_ring", counted)
     return calls
 
 
 def test_run_config_finds_each_ring_once(tmp_path, monkeypatch):
-    calls = _counting_ring_radius(monkeypatch)
+    calls = _counting_brightest_ring(monkeypatch)
     cfg = load_config(CONFIGS / "transfer.json")
     assert {"profiles", "metrics"} <= set(cfg.outputs)
     run_config(cfg, tmp_path / "run")
@@ -179,7 +179,7 @@ def test_run_config_finds_each_ring_once(tmp_path, monkeypatch):
 
 
 def test_fig3_table_reads_cell_metrics(tmp_path, monkeypatch):
-    calls = _counting_ring_radius(monkeypatch)
+    calls = _counting_brightest_ring(monkeypatch)
     out = tmp_path / "fig3"
     manifest = reproduce_figure("fig3", out)
     assert len(calls) == 6 * len(manifest["cells"])
@@ -242,6 +242,21 @@ def test_analyse_evaluates_the_exit_faces_once_per_radius(monkeypatch):
     scan = np.arange(0.0, cfg.grid.extent + 0.25 * step, 0.5 * step).size
     # the six fields share the ring-radius scan, then the pinned ring (18 reads unshared)
     assert [np.size(control) for _p, control, _probe_p, _probe_s in calls] == [scan, 1]
+
+
+def test_analyse_evaluates_the_exit_faces_once_per_distinct_ring(monkeypatch):
+    cfg = load_config(CONFIGS / "transfer.json")  # analysis.radius "auto"
+    fields = compute_fields(cfg)
+    calls = _counting_exit_faces(monkeypatch)
+    analysed = analyse(cfg, fields)
+    step = 2.0 * cfg.grid.extent / (cfg.grid.n - 1)
+    scan = np.arange(0.0, cfg.grid.extent + 0.25 * step, 0.5 * step).size
+    rings = {row["ring_radius"] for row, _profile in analysed.values()}
+    # the six fields share the scan, then each distinct brightest ring is read once
+    assert len(rings) == 3 and "" not in rings
+    assert [np.size(control) for _p, control, _probe_p, _probe_s in calls] == [scan, 1, 1, 1]
+    # a ring read is a scalar evaluation: numpy scalars, no 0-d arrays
+    assert not any(isinstance(control, np.ndarray) for _p, control, _pp, _ps in calls[1:])
 
 
 def _assert_manifest_lists_the_files(out: Path):

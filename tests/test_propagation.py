@@ -1,6 +1,4 @@
 import gc
-import sys
-import threading
 import tracemalloc
 import weakref
 
@@ -336,53 +334,21 @@ def test_ring_reads_equal_an_uncached_evaluation():
     assert signed[2] != signed[3]  # the signs of zero radii reach the bits
 
 
-def test_ring_reads_cannot_be_written():
+def test_ring_reads_are_the_callers_own():
     _inputs, out = _ring_read_fields()
     [fp] = out["omega_fp"].orders.values()
-    for r in (np.linspace(0.0, 3.0, 5), 0.5, np.linspace(0.0, 3.0, 5)):
-        with pytest.raises(ValueError, match="read-only"):
-            fp(r)[...] = 0.0
+    for r in (np.linspace(0.0, 3.0, 5), 0.5, -0.0, np.array([[0.25, 1.0]])):
+        want = fp(r).tobytes()
+        fp(r)[...] = np.nan  # a write into one read reaches no other
+        assert fp(r).tobytes() == want, r
 
 
-def test_ring_reads_from_many_threads_stay_exact_and_bounded():
-    inputs, out = _ring_read_fields()
-    [fp] = out["omega_fp"].orders.values()
-    radials = [next(iter(f.orders.values())) for f in inputs]
-    radii = [np.linspace(0.0, 3.0, 5 + i) for i in range(5)]
-    want = [propagation._exit_faces(CANON, *(rad(r) for rad in radials))["omega_fp"] for r in radii]
-    wrong = []
-
-    def read(seed):
-        for j in range(300):
-            i = (seed + j * (seed + 1)) % len(radii)
-            try:
-                if fp(radii[i]).tobytes() != want[i].tobytes():
-                    wrong.append(i)
-            except Exception as exc:  # a lost update of the shared cache
-                wrong.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=read, args=(seed,)) for seed in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and wrong == []
-    held = [weakref.ref(fp(r)) for r in radii]
-    gc.collect()
-    assert sum(ref() is not None for ref in held) <= propagation.RING_READS
-
-
-def test_ring_reads_hold_a_fixed_number_of_radii():
+def test_ring_reads_keep_no_array_alive():
     _inputs, out = _ring_read_fields()
     [fp] = out["omega_fp"].orders.values()
     held = [weakref.ref(fp(np.array([0.01 * i, 1.0]))) for i in range(100)]
     gc.collect()
-    assert 1 <= sum(ref() is not None for ref in held) <= propagation.RING_READS
+    assert not any(ref() is not None for ref in held)
 
 
 def test_probe_scaling_scales_outputs():
