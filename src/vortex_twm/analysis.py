@@ -12,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import ComplexField, Grid2D
+from .beams import ComplexField, Grid2D, GridSpec
 from .errors import (
     AmplitudeFloorError,
+    DegenerateMediumError,
     InvalidConfigError,
     NoClosedFormError,
+    NonFiniteFieldError,
     OutOfGridError,
     StructurelessProfileError,
     ZeroFieldError,
@@ -93,23 +95,27 @@ def winding_number(field: ComplexField, radius: float | None = None) -> int:
 
     When |R_k| of one order exceeds the sum of all other |R_j| on the ring,
     the ring never vanishes and its phase winds exactly k times.  A margin
-    below AMPLITUDE_FLOOR of the field maximum raises AmplitudeFloorError;
-    for one or two orders that is exactly a ring that reaches zero.  By
-    default the ring of maximum azimuthally averaged intensity is used.
+    below AMPLITUDE_FLOOR of radial_max over the scanned rings and this one
+    raises AmplitudeFloorError; for one or two orders that is exactly a ring
+    that reaches zero.  By default the brightest ring (ring_radius) is used.
     """
+    try:
+        peak = radial_max(_amplitudes(field, scan_radii(field.grid)))
+    except (DegenerateMediumError, OutOfGridError):  # as in runner.analyse: the ring alone
+        peak = 0.0
     if radius is None:
         radius = ring_radius(field)
-    radius = check_radius(radius, field.grid.extent)
-    return dominant_order(field, _amplitudes(field, radius))
+    amps = _amplitudes(field, check_radius(radius, field.grid.extent))
+    return dominant_order(max(peak, radial_max(amps)), amps)
 
 
-def dominant_order(field: ComplexField, amps: dict) -> int:
-    """winding_number of field from amps, its {k: R_k} on the ring."""
-    if field.peak == 0.0:
+def dominant_order(peak: float, amps: dict) -> int:
+    """winding_number from amps, a field's {k: R_k} on the ring, and peak, its maximum."""
+    if peak == 0.0:
         raise AmplitudeFloorError("zero field has no phase to wind")
     mags = {k: float(abs(a)) for k, a in amps.items()}
     top = max(mags, key=mags.get)
-    if 2.0 * mags[top] - sum(mags.values()) < AMPLITUDE_FLOOR * field.peak:
+    if 2.0 * mags[top] - sum(mags.values()) < AMPLITUDE_FLOOR * peak:
         raise AmplitudeFloorError(
             f"no order outweighs the rest of the ring by {AMPLITUDE_FLOOR} of the field maximum"
         )
@@ -179,19 +185,30 @@ def peak_angle(profile: AzimuthalProfile) -> float:
 def ring_radius(field: ComplexField) -> float:
     """The radius of scan_radii of largest ring-mean intensity sum_k |R_k(r)|^2, first of ties."""
     radii = scan_radii(field.grid)
-    return brightest_ring(field, radii, _amplitudes(field, radii))
+    scan = _amplitudes(field, radii)
+    return brightest_ring(radial_max(scan), radii, scan)
 
 
-def scan_radii(grid: Grid2D) -> np.ndarray:
+def radial_max(amps: dict) -> float:
+    """The largest sum_k |R_k(r)| of amps, a field's {k: R_k} at one or more radii, which
+    is its largest |field| there for one or two orders; a non-finite value raises."""
+    peak = float(np.max(sum(np.abs(a) for a in amps.values())))
+    if not np.isfinite(peak):
+        raise NonFiniteFieldError("field contains non-finite values")
+    return peak
+
+
+def scan_radii(grid: Grid2D | GridSpec) -> np.ndarray:
     """The rings that ring_radius scans: half-pixel spacing from the axis to the grid extent."""
     if grid.n < 2:
         raise OutOfGridError(f"a single-sample grid (n={grid.n}) has no rings to scan")
-    return np.arange(0.0, grid.extent + 0.25 * grid.step, 0.5 * grid.step)
+    step = np.diff(np.linspace(-grid.extent, grid.extent, grid.n)[:2])[0]  # make_grid's
+    return np.arange(0.0, grid.extent + 0.25 * step, 0.5 * step)
 
 
-def brightest_ring(field: ComplexField, radii: np.ndarray, amps: dict) -> float:
-    """ring_radius of field from amps, its {k: R_k} at the scanned radii."""
-    if field.peak == 0.0:
+def brightest_ring(peak: float, radii: np.ndarray, amps: dict) -> float:
+    """ring_radius from amps, a field's {k: R_k} at the scanned radii, and their radial_max."""
+    if peak == 0.0:
         raise ZeroFieldError("ring radius undefined for an all-zero field")
     means = sum(np.abs(a) ** 2 for a in amps.values())
     return float(radii[int(np.argmax(means))])

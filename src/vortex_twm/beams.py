@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidConfigError, integer, real
+from .errors import InvalidConfigError, NonFiniteFieldError, integer, real
 
 GRID_N_MAX = 4096  # one 4096^2 complex field is 256 MiB
 EPSILON_MAX = 1e100  # every product of a run at this amplitude stays finite
@@ -130,12 +130,16 @@ class ComplexField:
             )
         self.peak = float(np.max(np.abs(self.values)))  # NaN or inf if any value is
         if not math.isfinite(self.peak):
-            raise InvalidConfigError("field contains non-finite values")
+            raise NonFiniteFieldError("field contains non-finite values")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in inf or nan
 def _lg(spec: LGBeamSpec, r, theta):
     rho = r / spec.waist
-    radial = rho ** abs(spec.tc) * np.exp(-rho * rho)
+    try:
+        radial = rho ** abs(spec.tc) * np.exp(-rho * rho)
+    except OverflowError:  # a Python float's power raises where an array's is inf
+        raise NonFiniteFieldError("field contains non-finite values") from None
     unit = radial * np.exp(1j * spec.tc * theta)
     # epsilon multiplies last so amplitude scaling is exact, not just close
     return spec.epsilon * unit

@@ -63,6 +63,10 @@ class NoClosedFormError(VortexTwmError):
     """A ring observable was asked of a field that carries no angular orders."""
 
 
+class NonFiniteFieldError(InvalidConfigError):
+    """A field, or a radial part read from its closed form, has a NaN or infinite value."""
+
+
 class OutOfGridError(InvalidConfigError):
     """Requested ring radius extends beyond the sampled grid."""
 

@@ -31,14 +31,7 @@ from ._parallel import map_items
 from .config import RunConfig, default_config, section
 from .errors import InvalidConfigError, real
 from .render import write_metrics_csv
-from .runner import (
-    METRIC_COLUMNS,
-    analyse,
-    compute_fields,
-    shared_inputs,
-    write_manifest,
-    write_products,
-)
+from .runner import METRIC_COLUMNS, PAINTED, analyse, shared_inputs, write_manifest, write_products
 
 __all__ = ["reproduce_figure", "run_sweep", "DETUNING_SWEEP", "FIGURE_IDS", "SWEEP_PARAMS"]
 
@@ -172,23 +165,20 @@ def _sweep_cells(cfg: RunConfig, param: str, values) -> list[tuple[str, RunConfi
 def _sweep(cfg: RunConfig, param: str, values, out_dir, payload, columns, rows_of):
     """Run cfg across the values of param, cells in parallel, into out_dir/<label>.
 
-    The grid and each input beam that is the same in every cell are
-    sampled once, before the cells run; a cell samples only its own
-    beams.  The top metrics.csv holds rows_of(analyse result) of each
-    cell, led by its value; the manifest lists it and every cell file,
-    reusing the size and digest that the cell's own manifest recorded.
+    If cfg writes PAINTED products, the grid and each input beam that is the same in
+    every cell are sampled once, before the cells run, and a cell samples only its own
+    beams; otherwise nothing is.  The top metrics.csv holds rows_of(analyse result) of
+    each cell, led by its value; the manifest lists it and every cell file, reusing
+    the size and digest that the cell's own manifest recorded.
     """
     cells = _sweep_cells(cfg, param, values)
-    shared = shared_inputs([cell_cfg for _label, cell_cfg in cells])
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    shared = None if PAINTED.isdisjoint(cfg.outputs) else shared_inputs([c for _, c in cells])
+    out_dir = Path(out_dir)  # made by the first cell that writes
 
     def work(cell):
         label, cell_cfg = cell
-        fields = compute_fields(cell_cfg, shared)
-        analysed = analyse(cell_cfg, fields)
-        cell_dir = out_dir / label
-        manifest = write_products(cell_cfg, cell_dir, fields, analysed)
+        analysed = analyse(cell_cfg)
+        manifest = write_products(cell_cfg, out_dir / label, analysed, shared)
         return analysed, [{**e, "path": f"{label}/{e['path']}"} for e in manifest["files"]]
 
     done = map_items(work, cells)

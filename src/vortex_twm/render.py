@@ -7,6 +7,8 @@ has no ties-toward-zero ambiguity).
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .analysis import AMPLITUDE_FLOOR, AzimuthalProfile
@@ -107,11 +109,16 @@ def write_field_csv(field: ComplexField, path) -> None:
     _write_csv(path, "x,y,re,im", rows())
 
 
+@lru_cache(maxsize=4)
+def _profile_template(thetas: bytes) -> str:
+    """The rows of a profile with these float64 thetas, each intensity left as _CELL."""
+    return "".join(f"{_CELL % t},{_CELL}\n" for t in np.frombuffer(thetas).tolist())
+
+
 def write_profile_csv(profile: AzimuthalProfile, path) -> None:
-    """Header "theta,intensity", one row per azimuthal sample."""
-    pairs = np.column_stack([profile.thetas, profile.intensities])
-    template = f"{_CELL},{_CELL}\n" * len(pairs)
-    _write_csv(path, "theta,intensity", [(template, pairs.ravel().tolist())])
+    """Header "theta,intensity", one row per azimuthal sample; a thetas array is formatted once."""
+    template = _profile_template(np.asarray(profile.thetas, dtype=float).tobytes())
+    _write_csv(path, "theta,intensity", [(template, profile.intensities.tolist())])
 
 
 def write_metrics_csv(rows: list[dict], columns, path) -> None:

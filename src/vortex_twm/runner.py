@@ -1,7 +1,8 @@
 """Execute one configured run and write its products plus a manifest.
 
-A run samples each distinct input beam once, propagates both channels,
-composes the resultant output fields, and writes the requested products:
+A run analyses the six output fields from their closed form alone and
+writes the requested products; only fields and images paint the fields,
+sampling each distinct input beam once and propagating both channels:
 
     fields    CSV dumps of the six computed fields
     images    PGM intensity and PPM phase maps of the six computed fields
@@ -21,7 +22,7 @@ from pathlib import Path
 from . import analysis, render
 from .beams import ComplexField, Grid2D, LGBeamSpec, lg_radial, make_grid, sample_lg
 from .config import RunConfig, config_to_dict
-from .errors import GridMismatchError, VortexTwmError
+from .errors import GridMismatchError, NonFiniteFieldError, VortexTwmError
 from .propagation import output_fields, output_rings
 
 __all__ = [
@@ -35,6 +36,8 @@ __all__ = [
 ]
 
 METRIC_COLUMNS = ("field", "radius", "winding", "petal_count", "peak_angle", "ring_radius")
+OUTPUT_NAMES = ("omega_d", "omega_u", "omega_fp", "omega_fs", "omega_s", "omega_p")
+PAINTED = frozenset({"fields", "images"})  # the products written from the painted fields
 
 
 def _beams(cfg: RunConfig) -> tuple[LGBeamSpec, LGBeamSpec, LGBeamSpec]:
@@ -89,22 +92,24 @@ def compute_fields(
 def _metric_or_blank(fn):
     try:
         return fn()
+    except NonFiniteFieldError:
+        raise  # fails the run, as a non-finite raster does
     except VortexTwmError:
         return ""
 
 
-def field_metrics(name: str, field: ComplexField, ring, radius, amps, m: int):
+def field_metrics(name: str, peak: float, ring, radius, amps, m: int):
     """Observable row and ring profile (None without amps) of one field.
 
-    ring is its brightest ring, radius its metric ring, amps its {k: R_k}
-    there and m the profile's sample count.  Blanks mark undefined values.
+    peak is its radial_max, ring its brightest ring, radius its metric ring, amps its
+    {k: R_k} there and m the profile's sample count.  Blanks mark undefined values.
     """
     row = dict.fromkeys(METRIC_COLUMNS, "")
     row.update(field=name, radius=radius, ring_radius=ring)
     if amps == "":
         return row, None
     profile = analysis.ring_profile(radius, amps, m)
-    row["winding"] = _metric_or_blank(lambda: analysis.dominant_order(field, amps))
+    row["winding"] = _metric_or_blank(lambda: analysis.dominant_order(peak, amps))
     row["petal_count"] = _metric_or_blank(lambda: analysis.petal_count(profile))
     row["peak_angle"] = _metric_or_blank(lambda: analysis.peak_angle(profile))
     return row, profile
@@ -139,36 +144,39 @@ def write_manifest(out_dir, payload: dict, paths, listed=()) -> dict:
 
 def run_config(cfg: RunConfig, out_dir) -> dict:
     """Run one configuration into out_dir; returns the manifest payload."""
-    fields = compute_fields(cfg)
-    return write_products(cfg, out_dir, fields, analyse(cfg, fields))
+    shared = None if PAINTED.isdisjoint(cfg.outputs) else shared_inputs([cfg])  # as in a sweep
+    return write_products(cfg, out_dir, analyse(cfg), shared)
 
 
-def analyse(cfg: RunConfig, fields: dict[str, ComplexField]) -> dict:
-    """field_metrics (row, profile) of each field of compute_fields(cfg), keyed by name.
+def analyse(cfg: RunConfig) -> dict:
+    """field_metrics (row, profile) of each output field of cfg, keyed by name.
 
-    The six fields' rings are read together from cfg's closed form, afresh
-    at each read: once at the radii that ring_radius scans, then once per
-    distinct metric ring, a scalar.  A read that fails leaves blanks.
+    Only cfg's closed form is read: the six fields' rings together, afresh at each read,
+    once at the radii that ring_radius scans and once per distinct metric ring (a scalar).
+    A field's peak is its radial_max over both; a failed read blanks, a non-finite one raises.
     """
     rings = output_rings(cfg.medium, *((b.tc, lg_radial(b)) for b in _beams(cfg)))
-    radii = analysis.scan_radii(next(iter(fields.values())).grid)
+    radii = analysis.scan_radii(cfg.grid)
     scan = _metric_or_blank(lambda: rings(radii))
     reads, analysed = {"": ""}, {}  # metric ring -> the rings there, "" if unread
-    for name, f in fields.items():
-        ring = scan and _metric_or_blank(lambda: analysis.brightest_ring(f, radii, scan[name]))
+    for name in OUTPUT_NAMES:
+        peak = analysis.radial_max(scan[name]) if scan else 0.0
+        ring = scan and _metric_or_blank(lambda: analysis.brightest_ring(peak, radii, scan[name]))
         radius = ring if cfg.analysis.radius == "auto" else cfg.analysis.radius
         key = str(radius)  # a float's repr keeps -0.0 apart from 0.0
         if key not in reads:
             reads[key] = _metric_or_blank(
-                lambda: rings(analysis.check_radius(radius, f.grid.extent))
+                lambda: rings(analysis.check_radius(radius, cfg.grid.extent))
             )
         amps = reads[key] and reads[key][name]
-        analysed[name] = field_metrics(name, f, ring, radius, amps, cfg.analysis.m)
+        peak = max(peak, analysis.radial_max(amps)) if amps else peak
+        analysed[name] = field_metrics(name, peak, ring, radius, amps, cfg.analysis.m)
     return analysed
 
 
-def write_products(cfg: RunConfig, out_dir, fields: dict[str, ComplexField], analysed) -> dict:
-    """Write the requested products of computed fields, analysed = analyse(cfg, fields)."""
+def write_products(cfg: RunConfig, out_dir, analysed, shared) -> dict:
+    """Write cfg's products from analysed = analyse(cfg), painting the fields for PAINTED ones."""
+    fields = {} if PAINTED.isdisjoint(cfg.outputs) else compute_fields(cfg, shared)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written, made = [], {""}

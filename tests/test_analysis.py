@@ -15,7 +15,7 @@ from vortex_twm.analysis import (
     ring_radius,
     winding_number,
 )
-from vortex_twm.beams import ComplexField, Grid2D, LGBeamSpec, make_grid, sample_lg
+from vortex_twm.beams import ComplexField, Grid2D, GridSpec, LGBeamSpec, make_grid, sample_lg
 from vortex_twm.errors import (
     AmplitudeFloorError,
     InvalidConfigError,
@@ -233,6 +233,16 @@ def test_single_sample_grid_has_no_ring_to_scan():
             read(f)
 
 
+@pytest.mark.parametrize("n", [2, 257, 1000])
+@pytest.mark.parametrize("extent", [0.5, 3.0, 7.25])
+def test_a_grid_spec_scans_the_rings_of_its_grid(n, extent):
+    # a run's analysis scans its GridSpec, the rings of the grid that make_grid would build
+    grid = make_grid(n, extent)
+    want = np.arange(0.0, grid.extent + 0.25 * grid.step, 0.5 * grid.step)
+    for scanned in (analysis.scan_radii(GridSpec(n, extent)), analysis.scan_radii(grid)):
+        assert scanned.tobytes() == want.tobytes()
+
+
 def test_winding_radius_default_matches_explicit():
     f = _lg(2)
     assert winding_number(f) == winding_number(f, radius=ring_radius(f))
@@ -255,7 +265,7 @@ def test_field_without_closed_form_is_not_interpolated():
         with pytest.raises(NoClosedFormError, match="no closed form"):
             read(bare)
     for radius in ("", 1.0):  # a row without a ring read keeps only its radius
-        row, profile = field_metrics("omega_fs", bare, "", radius, "", DEFAULT_M)
+        row, profile = field_metrics("omega_fs", 0.0, "", radius, "", DEFAULT_M)
         assert profile is None
         assert row["ring_radius"] == row["winding"] == row["petal_count"] == row["peak_angle"] == ""
         assert row["radius"] == radius
@@ -349,6 +359,6 @@ def test_two_equal_orders_leave_the_winding_blank():
     tilted = _ring_field({1: 0.5 + 3.0 * AMPLITUDE_FLOOR, -1: 0.5 * np.exp(0.3j)})
     assert winding_number(tilted, radius=1.0) == 1
     amps = {k: radial(1.0) for k, radial in field.orders.items()}
-    row, profile = field_metrics("omega_d", field, "", 1.0, amps, DEFAULT_M)
+    row, profile = field_metrics("omega_d", analysis.radial_max(amps), "", 1.0, amps, DEFAULT_M)
     assert row["winding"] == ""
     assert profile is not None and petal_count(profile) == 2

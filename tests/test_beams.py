@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortex_twm.beams import ComplexField, Grid2D, LGBeamSpec, make_grid, sample_lg
+from vortex_twm.beams import (
+    ComplexField,
+    Grid2D,
+    LGBeamSpec,
+    _lg,
+    lg_radial,
+    make_grid,
+    sample_lg,
+)
 from vortex_twm.config import load_config
 from vortex_twm.errors import InvalidConfigError
 from vortex_twm.runner import compute_fields
@@ -175,6 +183,19 @@ def test_make_grid_builds_only_its_two_rasters():
     raster = n * n * 8
     assert g.r.nbytes == g.theta.nbytes == raster
     assert peak <= 2.5 * raster, f"make_grid peaked at {peak / raster:.2f} rasters"
+
+
+def test_a_narrow_high_charge_beam_overflows_into_one_error():
+    # (r/w)**|l| overflows where exp(-(r/w)**2) is already 0: a Python float's
+    # power raises OverflowError, an array's warns; both end in the field's one error
+    with pytest.raises(InvalidConfigError, match="^field contains non-finite values$"):
+        _lg(LGBeamSpec(0.005, 130, 0.01), 2.9, theta=0.0)
+    with pytest.raises(InvalidConfigError, match="^field contains non-finite values$"):
+        sample_lg(LGBeamSpec(4.0, 120, 0.01), make_grid(1024, 3.0))
+    # the array read of the same radial part is non-finite, without a RuntimeWarning
+    assert np.isnan(lg_radial(LGBeamSpec(0.005, 130, 0.01))(np.array([2.9]))).all()
+    # below the overflow the beam is exactly 0 there
+    assert lg_radial(LGBeamSpec(0.005, 130, 0.01))(2.0) == 0.0
 
 
 def test_grid_same_as():

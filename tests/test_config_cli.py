@@ -31,7 +31,7 @@ from vortex_twm.config import (
     load_config,
     parse_config,
 )
-from vortex_twm.errors import InvalidConfigError, OutOfGridError
+from vortex_twm.errors import DegenerateMediumError, InvalidConfigError, OutOfGridError
 from vortex_twm.medium import MediumParams
 from vortex_twm.figures import FIGURE_IDS, _FIGURES
 from vortex_twm.render import write_profile_csv
@@ -606,6 +606,54 @@ def test_cli_rejects_a_medium_rate_that_overflows(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "outputs", [["profiles", "metrics"], ["fields", "images", "profiles", "metrics"]]
+)
+@pytest.mark.parametrize("key", ["gamma31", "gamma21", "delta", "d"])
+def test_cli_rejects_a_medium_rate_that_overflows_with_other_products(
+    tmp_path, capsys, key, outputs
+):
+    # the twin of the metrics-only run above: its rings and its painted fields fail alike
+    medium = {"gamma31": 1.0, "gamma21": 0.05, "delta": 0.0, "d": 8.0}
+    medium[key] = 1e308 if key == "d" else 1e200
+    path = _write_doc(tmp_path, _small_doc(medium=medium, outputs=outputs))
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: field contains non-finite values\n"
+    assert not out.exists()
+
+
+def _narrow_beam_doc(tc, n, outputs):
+    """A narrow high-charge control: (r/w)**|l| overflows far out, where the beam is 0."""
+    control = {"epsilon": 4.0, "tc": tc, "waist": 0.01}
+    return _small_doc(control=control, grid={"n": n, "extent": 3.0}, outputs=outputs)
+
+
+def test_cli_metrics_of_a_narrow_beam_read_only_their_rings(tmp_path, capsys):
+    # its painted fields overflow in the grid corners, beyond every ring the metrics read
+    path = _write_doc(tmp_path, _narrow_beam_doc(120, 1024, ["metrics"]))
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = {row["field"]: row for row in csv.DictReader(fh)}
+    assert (rows["omega_fs"]["winding"], rows["omega_fp"]["winding"]) == ("120", "-120")
+    assert float(rows["omega_fs"]["ring_radius"]) == pytest.approx(0.18768, abs=1e-5)
+
+
+@pytest.mark.parametrize("tc, n, outputs", [(120, 1024, ["images"]), (130, 1100, ["metrics"])])
+def test_cli_rejects_a_narrow_beam_that_overflows_where_it_is_read(
+    tmp_path, capsys, tc, n, outputs
+):
+    # painted: the corners overflow; at l = 130 the scanned rings overflow too
+    path = _write_doc(tmp_path, _narrow_beam_doc(tc, n, outputs))
+    out = tmp_path / "out"
+    for command in (["fields"], ["sweep", "--param", "delta", "--values=0,3"]):
+        assert cli.main([*command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: field contains non-finite values\n"
+        assert not out.exists()
+
+
 def test_cli_rejects_non_finite_extent(tmp_path, capsys):
     # json writes inf as Infinity, which json.load reads back
     path = _write_doc(tmp_path, _small_doc(grid={"n": 32, "extent": float("inf")}))
@@ -747,6 +795,44 @@ def test_cli_fields_blank_where_the_ring_needs_the_axis(tmp_path, capsys, radius
     if radius != "auto":
         # the generated fields are single harmonics: ring-uniform, no petals
         assert rows["omega_fp"]["petal_count"] == rows["omega_fs"]["petal_count"] == "0"
+
+
+def test_cli_metrics_on_an_odd_grid_never_read_its_axis_pixel(tmp_path, capsys):
+    # zero decays with a charged control make Y = 0 on the axis, a pixel of an odd
+    # grid: painting the fields fails there, while a pinned metric ring reads only r = 1
+    doc = _small_doc(
+        medium={"gamma31": 0.0, "gamma21": 0.0, "d": 8.0},
+        probe_p={"epsilon": 0.005, "tc": 1},
+        probe_s={"epsilon": 0.005, "tc": 1},
+        grid={"n": 33, "extent": 3.0},
+        analysis={"radius": 1.0, "m": 720},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(_write_doc(tmp_path, doc)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(row["ring_radius"] == "" and row["winding"] != "" for row in rows)
+    doc["outputs"] = ["images"]
+    out = tmp_path / "painted"
+    assert cli.main(["fields", "--config", str(_write_doc(tmp_path, doc)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: response denominator Y = 0 (zero decays with zero control amplitude)\n"
+    assert not out.exists()
+
+
+def test_a_pinned_ring_winds_where_the_scan_meets_the_axis():
+    # as in the metrics rows above: a scan that cannot be read leaves the ring's own maximum
+    cfg = parse_config(_small_doc(
+        medium={"gamma31": 0.0, "gamma21": 0.0, "d": 8.0},
+        probe_p={"epsilon": 0.005, "tc": 1},
+        probe_s={"epsilon": 0.005, "tc": 1},
+    ))
+    fields = compute_fields(cfg)
+    with pytest.raises(DegenerateMediumError):
+        winding_number(fields["omega_fs"])
+    assert winding_number(fields["omega_fs"], 1.0) == 2
+    assert winding_number(fields["omega_fp"], 1.0) == 0
 
 
 def test_cli_verify_fast_passes(capsys):

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -235,9 +236,8 @@ def test_ring_reads_evaluate_one_point_per_radius(tmp_path, monkeypatch, ring):
 
 def test_analyse_evaluates_the_exit_faces_once_per_radius(monkeypatch):
     cfg = _interference_base(CRESCENT_DEPTH, ("images", "metrics"))  # fig4's delta = 0 cell
-    fields = compute_fields(cfg)
     calls = _counting_exit_faces(monkeypatch)
-    analyse(cfg, fields)
+    analyse(cfg)
     step = 2.0 * cfg.grid.extent / (cfg.grid.n - 1)
     scan = np.arange(0.0, cfg.grid.extent + 0.25 * step, 0.5 * step).size
     # the six fields share the ring-radius scan, then the pinned ring (18 reads unshared)
@@ -246,9 +246,8 @@ def test_analyse_evaluates_the_exit_faces_once_per_radius(monkeypatch):
 
 def test_analyse_evaluates_the_exit_faces_once_per_distinct_ring(monkeypatch):
     cfg = load_config(CONFIGS / "transfer.json")  # analysis.radius "auto"
-    fields = compute_fields(cfg)
     calls = _counting_exit_faces(monkeypatch)
-    analysed = analyse(cfg, fields)
+    analysed = analyse(cfg)
     step = 2.0 * cfg.grid.extent / (cfg.grid.n - 1)
     scan = np.arange(0.0, cfg.grid.extent + 0.25 * step, 0.5 * step).size
     rings = {row["ring_radius"] for row, _profile in analysed.values()}
@@ -345,16 +344,80 @@ def test_sweeps_sample_each_shared_grid_and_beam_once(tmp_path, monkeypatch):
 
 def test_a_sweep_shares_only_the_beams_of_every_cell(tmp_path, monkeypatch):
     cfg = _base_config(n=64, extent=3.0)
-    samples = _counting(monkeypatch, runner, "sample_lg")["sample_lg"]
+    samples = _counting(monkeypatch, runner, "make_grid", "sample_lg")
+    run_sweep(cfg, "lc", [1, 2, 3, 4, 5], tmp_path / "metrics")
+    # a sweep that paints no field samples nothing
+    assert samples == {"make_grid": [], "sample_lg": []}
+    samples = samples["sample_lg"]
     shared = []
-    real = figures.compute_fields
-    monkeypatch.setattr(figures, "compute_fields", lambda c, s: shared.append(s) or real(c, s))
-    run_sweep(cfg, "lc", [1, 2, 3, 4, 5], tmp_path / "sweep")
+    real = runner.compute_fields
+    monkeypatch.setattr(runner, "compute_fields", lambda c, s: shared.append(s) or real(c, s))
+    run_sweep(replace(cfg, outputs=("images",)), "lc", [1, 2, 3, 4, 5], tmp_path / "sweep")
     # the probes, sampled once before the cells ran; each cell samples its own control
     assert len(shared) == 5 and all(s is shared[0] for s in shared)
     assert list(shared[0][1]) == [runner._beam_key(cfg.probe_p)]
     assert samples[0][0] == cfg.probe_p
     assert sorted(spec.tc for spec, _grid in samples[1:]) == [1, 2, 3, 4, 5]
+
+
+RASTER_MAKERS = ("make_grid", "sample_lg", "output_fields")
+
+
+@pytest.mark.parametrize(
+    "outputs, painted",
+    [(("metrics",), False), (("profiles", "metrics"), False), (("images",), True),
+     (("fields", "metrics"), True)],
+)
+def test_a_run_paints_the_fields_only_for_fields_or_images(
+    tmp_path, monkeypatch, outputs, painted
+):
+    calls = _counting(monkeypatch, runner, *RASTER_MAKERS)
+    run_config(replace(load_config(CONFIGS / "transfer.json"), outputs=outputs), tmp_path / "run")
+    assert [len(calls[name]) for name in RASTER_MAKERS] == ([1, 2, 1] if painted else [0, 0, 0])
+
+
+def test_fig5_paints_no_field(tmp_path, monkeypatch):
+    calls = _counting(monkeypatch, runner, *RASTER_MAKERS)
+    reproduce_figure("fig5", tmp_path / "fig5")
+    assert calls == {name: [] for name in RASTER_MAKERS}
+
+
+def _grid_doc(lc, lp, ls, d, delta, ring, decays):
+    gamma21, gamma31 = decays
+    return {
+        "medium": {"gamma31": gamma31, "gamma21": gamma21, "delta": delta, "d": d},
+        "control": {"epsilon": 4.0, "tc": lc},
+        "probe_p": {"epsilon": 0.005, "tc": lp},
+        "probe_s": {"epsilon": 0.005, "tc": ls},
+        "grid": {"n": 64, "extent": 3.0},
+        "analysis": {"radius": ring, "m": 64},
+    }
+
+
+RING_AXES = (
+    (-3, -1, 0, 1, 2),  # lc
+    (-1, 0, 1),  # lp
+    (0, 1, -2),  # ls
+    (4.0, 100.0),  # d
+    (0.0, 3.0),  # delta
+    ("auto", 0.7),  # analysis.radius
+    ((0.05, 1.0), (0.0, 0.0)),  # (gamma21, gamma31)
+)
+# every 15th of the 720 configs: all 16 combinations of ls, d, delta, ring and decays,
+# the zero-decay pinned-ring ones (whose scan fails on the axis) among them
+RING_GRID = list(itertools.islice(itertools.product(*RING_AXES), 0, None, 15))
+
+
+@pytest.mark.parametrize("axes", RING_GRID, ids=lambda axes: "_".join(map(str, axes)))
+def test_unpainted_metrics_and_profiles_are_the_painted_ones(tmp_path, axes):
+    doc = _grid_doc(*axes)
+    trees = []
+    for outputs in (("profiles", "metrics"), ALL_OUTPUTS):
+        out = tmp_path / str(len(outputs))
+        run_config(parse_config({**doc, "outputs": list(outputs)}), out)
+        trees.append({p: b for p, b in _tree_bytes(out).items() if p != "manifest.json"})
+    painted = {p: b for p, b in trees[1].items() if p.split("/")[0] in ("profiles", "metrics.csv")}
+    assert trees[0] == painted
 
 
 def test_shared_inputs_must_lie_on_the_run_grid():
@@ -372,7 +435,7 @@ def _write_doc(path: Path, **overrides) -> Path:
     return path
 
 
-def test_probes_of_opposite_zero_signs_keep_their_own_samples(tmp_path):
+def test_probes_of_opposite_zero_signs_keep_their_own_samples(tmp_path, monkeypatch):
     # equal as LGBeamSpecs, yet -0.0 prints -0 where 0.0 prints 0
     probes = {"probe_p": {"epsilon": 0.0, "tc": 1}, "probe_s": {"epsilon": -0.0, "tc": 1}}
     path = _write_doc(tmp_path / "doc.json", **probes)
@@ -382,7 +445,8 @@ def test_probes_of_opposite_zero_signs_keep_their_own_samples(tmp_path):
     grid = make_grid(cfg.grid.n, cfg.grid.extent)
     beams = (cfg.control, cfg.probe_p, cfg.probe_s)
     fields = output_fields(cfg.medium, *(sample_lg(beam, grid) for beam in beams))
-    write_products(cfg, tmp_path / "alone", fields, analyse(cfg, fields))
+    monkeypatch.setattr(runner, "compute_fields", lambda c, s: fields)
+    write_products(cfg, tmp_path / "alone", analyse(cfg), None)
     run = _tree_bytes(tmp_path / "run")
     assert run == _tree_bytes(tmp_path / "alone")
     assert b",-0," in run["fields/omega_s.csv"] and b",-0," not in run["fields/omega_d.csv"]
@@ -411,7 +475,7 @@ def _crescent_peaks(depth, delta):
     base = replace(base, medium=replace(base.medium, delta=delta))
     peaks = []
     for _label, cfg in _sweep_cells(base, "amp", CONTROL_AMPLITUDES):
-        analysed = analyse(cfg, compute_fields(cfg))
+        analysed = analyse(cfg)
         peaks.append(tuple(analysed[name][0]["peak_angle"] for name in ("omega_d", "omega_u")))
     return peaks
 

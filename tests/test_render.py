@@ -14,7 +14,7 @@ from vortex_twm.render import (
     write_phase_ppm,
     write_profile_csv,
 )
-from vortex_twm.analysis import AMPLITUDE_FLOOR, azimuthal_profile
+from vortex_twm.analysis import AMPLITUDE_FLOOR, AzimuthalProfile, azimuthal_profile
 from vortex_twm.config import load_config
 from vortex_twm.runner import compute_fields
 
@@ -162,6 +162,18 @@ def test_profile_csv_round_trip(tmp_path):
     data = np.loadtxt(p, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], prof.thetas)
     assert np.array_equal(data[:, 1], prof.intensities)
+
+
+def test_profile_csv_keeps_each_profiles_own_thetas(tmp_path):
+    # the theta column is formatted once per thetas array: same-length profiles share none
+    prof = azimuthal_profile(sample_lg(LGBeamSpec(1.0, 1), make_grid(64, 3.0)), 0.7, m=32)
+    shifted = AzimuthalProfile(prof.radius, prof.thetas + 0.1, prof.intensities[::-1], prof.orders)
+    for tag, want in enumerate((prof, shifted, prof)):
+        path = tmp_path / f"prof{tag}.csv"
+        write_profile_csv(want, path)
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 0], want.thetas)
+        assert np.array_equal(data[:, 1], want.intensities)
 
 
 def test_metrics_csv_cells(tmp_path):
