@@ -92,21 +92,228 @@ def _write_csv(path, header: str, rows) -> None:
             fh.write(template % tuple(values))
 
 
-def write_field_csv(field: ComplexField, path) -> None:
-    """Header "x,y,re,im", one row per pixel in row-major grid order.
+# ------------------------------------------------- _CELL for blocks of doubles
+# A double v != 0 prints as D = round(|v| 10**(16 - E)), E = floor(log10 |v|):
+# its 17 significant digits, laid out by %g's rules. The kernel forms the
+# product as a double-double within 2**-46 of the exact one, so the rounding
+# is certain unless the fraction lies within _NEAR_HALF of 1/2. Those values,
+# every |v| outside [_FAST_MIN, _FAST_MAX] and non-finite ones take `%`.
 
-    Each axis value is formatted once; a grid row's x,y text is baked into
-    its template, which takes that row's interleaved re,im doubles.
+# every product below stays a normal double; as stand-ins, neither bound is near a power of ten
+_FAST_MIN, _FAST_MAX = 3e-280, 3e279
+_E_MIN, _E_MAX = -282, 283  # exponents E of that range, with room for a correction and a carry
+_NEAR_HALF = 2.0**-24
+_DEKKER = 134217729.0  # 2**27 + 1 splits a double into two halves of 26 bits
+_LANE = np.dtype("<u8")  # 8 bytes of text, the first in the low byte
+_SLOT = 32  # one double in a line buffer: 29 bytes of text, NUL-padded, 2 NULs, its separator
+
+
+def _split(a):
+    """Dekker's split a = high + low, each half with at most 26 significant bits."""
+    big = _DEKKER * a
+    high = big - (big - a)
+    return high, a - high
+
+
+@lru_cache(maxsize=1)
+def _g17_tables():
+    """The kernel's lookup tables, built from exact integers on first use.
+
+    tens: per E in [_E_MIN, _E_MAX], the halves of the double nearest
+    10**(16 - E) and the double nearest the remainder (int / int rounds
+    correctly). quads: the four characters of g < 10**4 as a uint32, then at
+    g + 10**4 the same with trailing zeros NUL. heads, tails: lanes 0 and 3
+    of a slot (see _format_g17), per E, sign and one-digit mantissa, and per E.
     """
-    axis = [_CELL % a for a in field.grid.axis.tolist()]
-    reim = field.values.view(np.float64)
+    nearest, rest = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        nearest.append(num / den)
+        p, q = nearest[-1].as_integer_ratio()
+        rest.append((num * q - p * den) / (den * q))
+    tens = (*_split(np.array(nearest)), np.array(rest))
+    digits = np.arange(10**4, dtype=np.int32)[:, None] // np.array([1000, 100, 10, 1], np.int32) % 10
+    chars = (digits + ord("0")).astype(np.uint8)
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    quads = np.concatenate([chars, np.where(trailing, 0, chars).astype(np.uint8)])
+    heads, tails = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        fixed = -4 <= e < 17
+        tails.append((b"" if fixed else b"e%+03d" % e).ljust(8, b"\0"))
+        lead = b"0." + b"0" * (-e - 1) if fixed and e < 0 else b""
+        for sign in (b"", b"-"):
+            for single in (False, True):
+                point = b"\0" if single or lead else b"."
+                heads.append((sign + lead).ljust(7, b"\0") + point)
+    quads = quads.view(np.uint32).ravel()
+    for table in (*tens, quads):
+        table.flags.writeable = False  # shared by every caller, threads included
+    return tens, quads, np.frombuffer(b"".join(heads), _LANE), np.frombuffer(b"".join(tails), _LANE)
 
-    def rows():
-        for y, row in zip(axis, reim):
-            sep = f",{y},{_CELL},{_CELL}\n"
-            yield sep.join(axis) + sep, row.tolist()
 
-    _write_csv(path, "x,y,re,im", rows())
+def _scaled(a, at, tens):
+    """(h, s): a 10**(16 - E) ~ h + s with |s| <= ulp(h) / 2, where E = at + _E_MIN.
+
+    a (high + low + rest) is Dekker's exact two-product of a and high + low,
+    plus a rounded a * rest; for products below 2**57 the sum misses the
+    exact product by less than 2**-46.
+    """
+    high, low, rest = (np.take(t, at, mode="clip") for t in tens)
+    a_high, a_low = _split(a)
+    p = high + low  # the double nearest the power, exactly
+    p *= a
+    err = a_high * high
+    err -= p
+    err += a_high * low
+    err += a_low * high
+    err += a_low * low
+    err += a * rest
+    h = p + err
+    p -= h
+    p += err
+    return h, p
+
+
+def _outside(h, s):
+    """Whether h + s lies outside [1e16, 1e17): the exponent was one off."""
+    return (h < 1e16) | ((h == 1e16) & (s < 0.0)) | (h > 1e17) | ((h == 1e17) & (s >= 0.0))
+
+
+def _format_g17(x: np.ndarray, slots: np.ndarray) -> int:
+    """Write _CELL % v of each double v of x into its slot; return how many took `%`.
+
+    slots is uint8 of shape x.shape + (_SLOT,). A slot gets its text in its
+    first 29 bytes, NUL-padded; its last byte is left as it is. In 8-byte
+    lanes: 0 holds the sign, a leading "0." with its zeros, the first digit
+    and the point; 1 and 2 the other 16 digits, four to a table lookup,
+    trailing zeros NUL; 3 the exponent. A point that moves right
+    (10 <= |v| < 1e17) is placed afterwards, in those slots only.
+    """
+    tens, quads, heads, tails = _g17_tables()
+    a = np.abs(x)
+    zero = a == 0.0  # "0" or "-0", on this path
+    # out-of-range and non-finite values get a stand-in, so that no step warns
+    c = np.fmin(np.fmax(a, _FAST_MIN), _FAST_MAX)
+    fast = c == a
+    at = np.log10(c)
+    at -= _E_MIN
+    at = at.astype(np.intp)  # E - _E_MIN: truncation is floor, as at > 0
+    h, s = _scaled(c, at, tens)
+    near = (h < 1.0000000001e16) | (h > 0.9999999999e17)
+    if near.any():  # E is one off only within ~1e-13 of a power of ten
+        near = np.nonzero(near)
+        hn, sn = h[near], s[near]
+        at[near] += _outside(hn, sn) * np.where(hn < 5e16, -1, 1)
+        h[near], s[near] = hn, sn = _scaled(c[near], at[near], tens)
+        fast[near] &= ~_outside(hn, sn)
+    r = np.rint(s)
+    s -= r
+    fast &= np.abs(s, out=s) < 0.5 - _NEAR_HALF
+    d = h.astype(np.int64)
+    d += r.astype(np.int64)
+    carry = d == 10**17
+    if carry.any():  # rounded up to a new decade
+        d[carry] = 10**16
+        at[carry] += 1
+    d[zero] = 0
+    at[zero] = -_E_MIN
+
+    # D = first 10**16 + high 10**8 + low; high and low make two quads each
+    ten4 = np.uint32(10**4)
+    high = (d // 10**8).astype(np.uint32)
+    d -= high * np.int64(10**8)
+    low = d.astype(np.uint32)
+    first = high // np.uint32(10**8)
+    high -= first * np.uint32(10**8)
+    quad1, quad3 = high // ten4, low // ten4
+    trim2 = low == 0  # a quad with only zeros after it is looked up trimmed
+    single = trim2 & (high == 0)
+    high -= quad1 * ten4
+    low -= quad3 * ten4
+    trim1 = trim2 & (high == 0)
+    trim3 = low == 0
+    lanes = slots.view(np.uint32)
+    for lane, quad, trim in ((2, quad1, trim1), (3, high, trim2), (4, quad3, trim3), (5, low, True)):
+        quad += trim * ten4
+        np.take(quads, quad, out=lanes[..., lane], mode="clip")
+
+    lanes = slots.view(_LANE)
+    head = at * 4
+    head += np.signbit(x) * 2
+    head += single
+    head = np.take(heads, head, mode="clip")
+    first += ord("0")
+    head |= first.astype(_LANE) << np.uint64(48)
+    lanes[..., 0] = head
+    lanes[..., 3] &= np.uint64(0xFF << 56)
+    lanes[..., 3] |= np.take(tails, at, mode="clip")
+
+    wide = fast & (at > -_E_MIN) & (at <= 16 - _E_MIN)
+    if wide.any():
+        wide = np.nonzero(wide)
+        _move_point(slots, wide, at[wide] + _E_MIN + 1)
+    scalar = np.nonzero(~(fast | zero))
+    for i, v in zip(zip(*scalar), x[scalar].tolist()):
+        text = (_CELL % v).encode("ascii")
+        slots[i][: _SLOT - 1] = 0
+        slots[i][: len(text)] = np.frombuffer(text, np.uint8)
+    return len(scalar[0])
+
+
+def _move_point(slots, at, point) -> None:
+    """Lay out slots[at] with the point after `point` digits, as %g prints 10 <= |v| < 1e17.
+
+    Integer digits are never trimmed, and the point stays only if a digit follows it.
+    """
+    rows = slots[at]
+    digits = np.zeros((len(rows), 18), np.uint8)
+    digits[:, 0], digits[:, 1:17] = rows[:, 6], rows[:, 8:24]
+    col, point = np.arange(18), point[:, None]
+    digits[(col < point) & (digits == 0)] = ord("0")
+    dot = np.where(np.any(digits * (col >= point), axis=1, keepdims=True), ord("."), 0)
+    shifted = np.roll(digits, 1, axis=1)
+    rows[:, 6:24] = np.where(col < point, digits, np.where(col == point, dot, shifted))
+    slots[at] = rows
+
+
+_BLOCK = 2048  # pixels formatted at once: whole grid rows, at least one
+
+
+def write_field_csv(field: ComplexField, path) -> None:
+    """Header "x,y,re,im", one row per pixel in row-major grid order, each number _CELL.
+
+    A block of grid rows at a time is laid out in one reused buffer of
+    fixed-width, NUL-padded lines: the axis text, formatted once, and the
+    re,im slots of _format_g17. The NULs are dropped, and each half of the
+    block is written with one write. The field is read a block at a time,
+    whatever its memory layout.
+    """
+    n = field.grid.n
+    axis = np.array([(_CELL % a).encode("ascii") for a in field.grid.axis.tolist()])
+    text = axis.view(np.uint8).reshape(n, -1)  # NUL-padded
+    w = text.shape[1]
+    head = -(-(2 * w + 2) // 8) * 8  # x, y and their commas, to a whole lane
+    rows = min(n, max(1, _BLOCK // n))
+    lines = np.zeros((rows, n, head + 2 * _SLOT), np.uint8)
+    lines[..., :w] = text
+    lines[..., w] = lines[..., 2 * w + 1] = lines[..., head + _SLOT - 1] = ord(",")
+    lines[..., -1] = ord("\n")
+    slots = lines[..., head:].reshape(rows, n, 2, _SLOT)
+    keep = np.empty(lines.shape, bool)
+    reim = np.empty((rows, n, 2))
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,re,im\n")
+        for top in range(0, n, rows):
+            block = field.values[top : top + rows]
+            m = len(block)
+            reim[:m, :, 0], reim[:m, :, 1] = block.real, block.imag
+            lines[:m, :, w + 1 : 2 * w + 1] = text[top : top + m, None]
+            _format_g17(reim[:m], slots[:m])
+            np.not_equal(lines[:m], 0, out=keep[:m])
+            # in halves, each text under glibc's 128 KiB mmap threshold up to n = 1024:
+            # no block maps and unmaps fresh pages
+            for part in (slice(0, m // 2), slice(m // 2, m)):
+                fh.write(lines[part][keep[part]])
 
 
 @lru_cache(maxsize=4)

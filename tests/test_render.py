@@ -1,4 +1,10 @@
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vortex_twm.beams import ComplexField, Grid2D, make_grid, sample_lg, LGBeamSpec
+from vortex_twm import render
 from vortex_twm.render import (
     write_field_csv,
     write_intensity_pgm,
@@ -461,3 +468,149 @@ def test_image_writers_hold_few_rasters(tmp_path, writer, rasters):
     finally:
         tracemalloc.stop()
     assert peak <= rasters * 8 * n * n  # in float64 rasters, the peak scan included
+
+
+# ------------------------------------------------------------ %.17g kernel
+# write_field_csv formats re,im by render._format_g17, a numpy kernel whose
+# every result must equal _CELL % v; values it cannot round with certainty
+# take `%` itself.
+
+
+def _kernel_text(values):
+    """(texts, count sent to `%`) of render._format_g17 on a list of doubles."""
+    x = np.array(values, dtype=np.float64)
+    slots = np.full(x.shape + (render._SLOT,), 0xFF, np.uint8)  # every text byte must be written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # not one warning, of any kind
+        scalar = render._format_g17(x, slots)
+    assert (slots[:, -1] == 0xFF).all()  # the separator byte is left alone
+    return [bytes(s[:-1][s[:-1] != 0]).decode("ascii") for s in slots], scalar
+
+
+def _assert_kernel_exact(values):
+    texts, _ = _kernel_text(values)
+    assert texts == ["%.17g" % v for v in values]
+
+
+@given(
+    bits=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64),
+    floats=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=64),
+)
+@settings(max_examples=300, deadline=None)
+def test_g17_kernel_matches_percent_on_any_bit_pattern(bits, floats):
+    doubles = np.array(bits, dtype=np.uint64).view(np.float64).tolist()
+    _assert_kernel_exact(doubles + floats)
+
+
+@given(
+    a=st.floats(min_value=render._FAST_MIN, max_value=render._FAST_MAX),
+    off=st.sampled_from([-1, 0, 1]),
+)
+@settings(max_examples=300, deadline=None)
+def test_g17_product_is_within_its_bound(a, off):
+    # h + s misses a 10**(16 - E) by less than 2**-46, for E = floor(log10 a) and its neighbours
+    e = math.floor(math.log10(a)) + off
+    at = np.array([e - render._E_MIN])
+    h, s = render._scaled(np.array([a]), at, render._g17_tables()[0])
+    exact = Fraction(a) * Fraction(10) ** (16 - e)
+    assert abs(Fraction(float(h[0])) + Fraction(float(s[0])) - exact) < Fraction(1, 2**46)
+    assert abs(float(s[0])) <= math.ulp(float(h[0])) / 2
+
+
+def _near(v):
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+def test_g17_kernel_matches_percent_on_a_fixed_corpus():
+    corpus = [0.0, -0.0, 5e-324, 99999999999999999.0, 9999999999999999.0, 0.1, 1.0, 100.0]
+    corpus += [v for k in range(-323, 309) for v in _near(10.0**k)]
+    corpus += [2.0**k for k in range(-1074, 1024)]
+    corpus += [k / 8 for k in range(-4000, 4001)]  # exact ties among them
+    corpus += [v for s in (1e-5, 1e-4, 1e16, 1e17) for v in _near(s)]  # %g's switch points
+    rng = np.random.default_rng(24)
+    # every layout: a point after each of the integer digits, and integers
+    corpus += (rng.normal(size=4000) * 10.0 ** rng.integers(-8, 18, size=4000)).tolist()
+    corpus += rng.integers(-(10**17), 10**17, size=2000).astype(float).tolist()
+    _assert_kernel_exact(corpus + [-v for v in corpus])
+
+
+def test_g17_kernel_keeps_zeros_on_its_own_path():
+    texts, scalar = _kernel_text([0.0, -0.0, 1.0, -2.5, 1e-7])
+    assert texts == ["0", "-0", "1", "-2.5", "9.9999999999999995e-08"]
+    assert scalar == 0
+
+
+def _near_ties():
+    """Doubles v whose digit fraction v 10**(16 - E) mod 1 lies within 2**-24 of 1/2.
+
+    v = m 2**-60 with 10**19 v in [1e16, 1e17): the fraction is
+    1/2 + u 2**-41 when m 5**19 = 2**40 + u (mod 2**41); u = 0 is an exact tie.
+    """
+    inverse = pow(5**19, -1, 2**41)
+    ties = []
+    for u in (0, 1, -1, 3, 2**16, -(2**16)):
+        m = (2**40 + u) * inverse % 2**41
+        m += (2**52 - m + 2**41 - 1) // 2**41 * 2**41  # the smallest such m of 53 bits
+        v = m / 2.0**60
+        p, q = v.as_integer_ratio()
+        frac = p * 10**19 % q
+        assert abs(2 * frac - q) < q * 2.0**-23  # within 2**-24 of 1/2
+        ties += [v, -v]
+    return ties + [2.0**-25, 1 / 2**20 * 1049]  # exact ties: 18 digits ending in 5
+
+
+def test_g17_near_ties_and_range_ends_take_percent():
+    near = _near_ties()
+    outside = [1e-300, 5e-324, 2.5e-280, 1e300, -1.7976931348623157e308, 3.5e279, np.inf, -np.inf, np.nan]
+    texts, scalar = _kernel_text(near + outside)
+    assert texts == ["%.17g" % v for v in near + outside]
+    assert scalar == len(near) + len(outside)
+
+
+def test_field_csv_near_ties_and_range_ends_match_savetxt(tmp_path):
+    # the scalar path's text lands in the same bytes as the kernel's
+    values = _near_ties() + [1e-300, -5e-324, 1e300, 2.5e-280, 3.5e279, 1.5, -0.0]
+    n = 5
+    flat = np.resize(np.array(values), 2 * n * n)
+    _assert_field_matches_oracle(ComplexField(make_grid(n, 2.0), flat.view(complex).reshape(n, n)), tmp_path)
+
+
+@pytest.mark.parametrize("name", ["transfer.json", "interference.json"])
+def test_g17_scalar_path_is_rare_on_painted_fields(name):
+    fields = compute_fields(load_config(CONFIGS / name))
+    doubles = scalar = 0
+    for f in fields.values():
+        x = f.values.view(np.float64).reshape(f.grid.n, f.grid.n, 2)
+        scalar += render._format_g17(x, np.zeros(x.shape + (render._SLOT,), np.uint8))
+        doubles += x.size
+    assert scalar < 1e-3 * doubles
+
+
+def test_field_csv_streams_blocks_of_a_transposed_field(tmp_path):
+    f = sample_lg(LGBeamSpec(1.0, 1), make_grid(257, 3.0))
+    f.values = f.values.T  # a view: rows of the field are strided in memory
+    assert not f.values.flags.c_contiguous
+    write_field_csv(_field_2x2(np.ones((2, 2))), tmp_path / "warm.csv")  # tables are built once
+    tracemalloc.start()
+    try:
+        write_field_csv(f, tmp_path / "stream.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < min(2 * 2**20, f.values.nbytes)  # no copy of the whole field
+    _assert_field_matches_oracle(f, tmp_path)
+
+
+def test_import_builds_no_kernel_table():
+    # the tables come from exact integers on first use, without fractions or decimal
+    probe = (
+        "import sys, vortex_twm; from vortex_twm import render; "
+        "assert not {'fractions', 'decimal'} & set(sys.modules), sorted(sys.modules); "
+        "assert render._g17_tables.cache_info().currsize == 0; "
+        "render._g17_tables(); "
+        "assert not {'fractions', 'decimal'} & set(sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
