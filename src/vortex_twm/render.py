@@ -97,11 +97,13 @@ def _write_csv(path, header: str, rows) -> None:
 # its 17 significant digits, laid out by %g's rules. The kernel forms the
 # product as a double-double within 2**-46 of the exact one, so the rounding
 # is certain unless the fraction lies within _NEAR_HALF of 1/2. Those values,
-# every |v| outside [_FAST_MIN, _FAST_MAX] and non-finite ones take `%`.
+# every |v| within about 1e-10 (relative) of a power of ten or outside
+# [_FAST_MIN, _FAST_MAX], and non-finite ones take `%`; zeros stay on the
+# kernel as "0" and "-0".
 
-# every product below stays a normal double; as stand-ins, neither bound is near a power of ten
-_FAST_MIN, _FAST_MAX = 3e-280, 3e279
-_E_MIN, _E_MAX = -282, 283  # exponents E of that range, with room for a correction and a carry
+# every product below stays a normal double; |v| < 10 keeps the point after the first digit
+_FAST_MIN, _FAST_MAX = 3e-280, 9.999999999
+_E_MIN, _E_MAX = -281, 1  # exponents E of that range, with room for log10 to miss by one
 _NEAR_HALF = 2.0**-24
 _DEKKER = 134217729.0  # 2**27 + 1 splits a double into two halves of 26 bits
 _LANE = np.dtype("<u8")  # 8 bytes of text, the first in the low byte
@@ -120,25 +122,22 @@ def _g17_tables():
     """The kernel's lookup tables, built from exact integers on first use.
 
     tens: per E in [_E_MIN, _E_MAX], the halves of the double nearest
-    10**(16 - E) and the double nearest the remainder (int / int rounds
-    correctly). quads: the four characters of g < 10**4 as a uint32, then at
-    g + 10**4 the same with trailing zeros NUL. heads, tails: lanes 0 and 3
-    of a slot (see _format_g17), per E, sign and one-digit mantissa, and per E.
+    10**(16 - E) and the double nearest the remainder (float of an int
+    rounds correctly). quads: the four characters of g < 10**4 as a
+    uint32, then at g + 10**4 the same with trailing zeros NUL. heads,
+    tails: lanes 0 and 3 of a slot (see _format_g17), per E, sign and
+    one-digit mantissa, and per E.
     """
-    nearest, rest = [], []
-    for e in range(_E_MIN, _E_MAX + 1):
-        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
-        nearest.append(num / den)
-        p, q = nearest[-1].as_integer_ratio()
-        rest.append((num * q - p * den) / (den * q))
-    tens = (*_split(np.array(nearest)), np.array(rest))
+    powers = [10 ** (16 - e) for e in range(_E_MIN, _E_MAX + 1)]
+    nearest = [float(p) for p in powers]
+    tens = (*_split(np.array(nearest)), np.array([float(p - int(f)) for p, f in zip(powers, nearest)]))
     digits = np.arange(10**4, dtype=np.int32)[:, None] // np.array([1000, 100, 10, 1], np.int32) % 10
     chars = (digits + ord("0")).astype(np.uint8)
     trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
     quads = np.concatenate([chars, np.where(trailing, 0, chars).astype(np.uint8)])
     heads, tails = [], []
     for e in range(_E_MIN, _E_MAX + 1):
-        fixed = -4 <= e < 17
+        fixed = e >= -4
         tails.append((b"" if fixed else b"e%+03d" % e).ljust(8, b"\0"))
         lead = b"0." + b"0" * (-e - 1) if fixed and e < 0 else b""
         for sign in (b"", b"-"):
@@ -174,11 +173,6 @@ def _scaled(a, at, tens):
     return h, p
 
 
-def _outside(h, s):
-    """Whether h + s lies outside [1e16, 1e17): the exponent was one off."""
-    return (h < 1e16) | ((h == 1e16) & (s < 0.0)) | (h > 1e17) | ((h == 1e17) & (s >= 0.0))
-
-
 def _format_g17(x: np.ndarray, slots: np.ndarray) -> int:
     """Write _CELL % v of each double v of x into its slot; return how many took `%`.
 
@@ -186,8 +180,7 @@ def _format_g17(x: np.ndarray, slots: np.ndarray) -> int:
     first 29 bytes, NUL-padded; its last byte is left as it is. In 8-byte
     lanes: 0 holds the sign, a leading "0." with its zeros, the first digit
     and the point; 1 and 2 the other 16 digits, four to a table lookup,
-    trailing zeros NUL; 3 the exponent. A point that moves right
-    (10 <= |v| < 1e17) is placed afterwards, in those slots only.
+    trailing zeros NUL; 3 the exponent.
     """
     tens, quads, heads, tails = _g17_tables()
     a = np.abs(x)
@@ -199,22 +192,13 @@ def _format_g17(x: np.ndarray, slots: np.ndarray) -> int:
     at -= _E_MIN
     at = at.astype(np.intp)  # E - _E_MIN: truncation is floor, as at > 0
     h, s = _scaled(c, at, tens)
-    near = (h < 1.0000000001e16) | (h > 0.9999999999e17)
-    if near.any():  # E is one off only within ~1e-13 of a power of ten
-        near = np.nonzero(near)
-        hn, sn = h[near], s[near]
-        at[near] += _outside(hn, sn) * np.where(hn < 5e16, -1, 1)
-        h[near], s[near] = hn, sn = _scaled(c[near], at[near], tens)
-        fast[near] &= ~_outside(hn, sn)
+    # beside a power of ten E may be one off and D may round up to 10**17
+    fast &= (h >= 1.0000000001e16) & (h <= 0.9999999999e17)
     r = np.rint(s)
     s -= r
     fast &= np.abs(s, out=s) < 0.5 - _NEAR_HALF
     d = h.astype(np.int64)
     d += r.astype(np.int64)
-    carry = d == 10**17
-    if carry.any():  # rounded up to a new decade
-        d[carry] = 10**16
-        at[carry] += 1
     d[zero] = 0
     at[zero] = -_E_MIN
 
@@ -248,32 +232,12 @@ def _format_g17(x: np.ndarray, slots: np.ndarray) -> int:
     lanes[..., 3] &= np.uint64(0xFF << 56)
     lanes[..., 3] |= np.take(tails, at, mode="clip")
 
-    wide = fast & (at > -_E_MIN) & (at <= 16 - _E_MIN)
-    if wide.any():
-        wide = np.nonzero(wide)
-        _move_point(slots, wide, at[wide] + _E_MIN + 1)
     scalar = np.nonzero(~(fast | zero))
     for i, v in zip(zip(*scalar), x[scalar].tolist()):
         text = (_CELL % v).encode("ascii")
         slots[i][: _SLOT - 1] = 0
         slots[i][: len(text)] = np.frombuffer(text, np.uint8)
     return len(scalar[0])
-
-
-def _move_point(slots, at, point) -> None:
-    """Lay out slots[at] with the point after `point` digits, as %g prints 10 <= |v| < 1e17.
-
-    Integer digits are never trimmed, and the point stays only if a digit follows it.
-    """
-    rows = slots[at]
-    digits = np.zeros((len(rows), 18), np.uint8)
-    digits[:, 0], digits[:, 1:17] = rows[:, 6], rows[:, 8:24]
-    col, point = np.arange(18), point[:, None]
-    digits[(col < point) & (digits == 0)] = ord("0")
-    dot = np.where(np.any(digits * (col >= point), axis=1, keepdims=True), ord("."), 0)
-    shifted = np.roll(digits, 1, axis=1)
-    rows[:, 6:24] = np.where(col < point, digits, np.where(col == point, dot, shifted))
-    slots[at] = rows
 
 
 _BLOCK = 2048  # pixels formatted at once: whole grid rows, at least one

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import azimuthal_profile, peak_angle
 from .beams import LGBeamSpec, make_grid, sample_lg
 from .errors import InvalidConfigError, VerificationError
 from .figures import CRESCENT_DEPTH, _interference_base
@@ -30,7 +29,7 @@ from .medium import (
     y_factor,
 )
 from .propagation import integrate_channel_numeric, solve_channel_p, solve_channel_s
-from .runner import compute_fields
+from .runner import analyse, compute_fields
 
 __all__ = ["SuiteResult", "run_verify", "print_report", "ensure_passing"]
 
@@ -282,13 +281,15 @@ def sum_ripple_error(out) -> float:
     return max(float(np.max(np.abs(s - img))) for img in orbit) / peak
 
 
-def anti_phase_peak_error(out, radius: float) -> float:
-    """At delta = 0 the two crescents of out (as in sum_ripple_error) must point pi apart.
+def anti_phase_peak_error(analysed) -> float:
+    """At delta = 0 the two crescents of the cell of sum_ripple_error must point pi apart.
 
-    They are read on the ring of the given radius, the cell's pinned ring.
+    analysed is runner.analyse of that cell: its rows' peak angles, read on the
+    cell's pinned ring. A blank angle, a ring without structure, fails.
     """
-    peak_d = peak_angle(azimuthal_profile(out["omega_d"], radius))
-    peak_u = peak_angle(azimuthal_profile(out["omega_u"], radius))
+    peak_d, peak_u = (analysed[name][0]["peak_angle"] for name in ("omega_d", "omega_u"))
+    if "" in (peak_d, peak_u):
+        return math.inf
     return abs((peak_d - peak_u) % (2.0 * np.pi) - np.pi)
 
 
@@ -305,7 +306,7 @@ def run_verify(level: str) -> list[SuiteResult]:
         raise InvalidConfigError(f"verify level must be 'fast' or 'full', got {level!r}")
     n, steps, trials, evolve_trials = _LEVELS[level]
     cell = _interference_base(CRESCENT_DEPTH, ())  # fig4 at delta = 0
-    anti_phase, ring = compute_fields(cell), cell.analysis.radius
+    anti_phase = compute_fields(cell)
     return [
         SuiteResult("channel_oracle", channel_oracle_error(n, steps), 1e-7),
         SuiteResult("steady_kernel", steady_kernel_error(trials), 1e-12),
@@ -315,7 +316,7 @@ def run_verify(level: str) -> list[SuiteResult]:
         SuiteResult("lossless", lossless_error(max(5, trials // 5)), 1e-10),
         SuiteResult("probe_linearity", probe_linearity_error(max(5, trials // 5)), 1e-12),
         SuiteResult("sum_ripple", sum_ripple_error(anti_phase), 1e-9),
-        SuiteResult("anti_phase_peaks", anti_phase_peak_error(anti_phase, ring), 0.01),
+        SuiteResult("anti_phase_peaks", anti_phase_peak_error(analyse(cell)), 0.01),
     ]
 
 

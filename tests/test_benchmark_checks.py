@@ -4,7 +4,8 @@ benchmark/checks.py compares the fields a benchmark run writes against
 its own reference, exp(A L) of each channel's 2x2 system per pixel, made
 apart from the package.  The same comparison here, on the grid values and
 on the order sums, makes a wrong field fail the tests before it fails a
-benchmark run.  The benchmark file is only read.
+benchmark run, as the verify tolerances stated there make a loosened one
+fail them.  The benchmark file is only read.
 """
 import importlib.util
 from dataclasses import replace
@@ -15,6 +16,7 @@ import pytest
 
 from vortex_twm.config import config_to_dict, load_config
 from vortex_twm.runner import compute_fields
+from vortex_twm.verify import run_verify
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECKS = ROOT / "benchmark" / "checks.py"
@@ -50,3 +52,9 @@ def test_fields_and_order_sums_match_the_benchmark_reference(case):
         for got in (field.values[rows, cols], order_sum):
             err = float(np.max(np.abs(got - ref[name]))) / scale
             assert err <= checks.FIELD_TOL, (case, name, err)
+
+
+def test_verify_runs_the_benchmark_suites_at_their_tolerances():
+    # names, order and tolerances as the benchmark states them: one loosened in the package fails here
+    got = [(r.name, r.tolerance) for r in run_verify("fast")]
+    assert got == list(_checks().VERIFY_TOLERANCES.items())

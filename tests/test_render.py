@@ -535,9 +535,27 @@ def test_g17_kernel_matches_percent_on_a_fixed_corpus():
 
 
 def test_g17_kernel_keeps_zeros_on_its_own_path():
-    texts, scalar = _kernel_text([0.0, -0.0, 1.0, -2.5, 1e-7])
-    assert texts == ["0", "-0", "1", "-2.5", "9.9999999999999995e-08"]
+    texts, scalar = _kernel_text([0.0, -0.0, 2.0, -2.5, 3e-7])
+    assert texts == ["0", "-0", "2", "-2.5", "2.9999999999999999e-07"]
     assert scalar == 0
+
+
+def test_g17_kernel_sends_only_what_fields_do_not_hold_to_percent():
+    # |v| >= 10 and the neighbours of a power of ten take `%`, every one
+    declined = [10.0, 12.5, 1e16, 99999999999999999.0]
+    declined += [np.nextafter(10.0**k, t) for k in range(-279, 1) for t in (-np.inf, np.inf)]
+    declined += [-v for v in declined]
+    texts, scalar = _kernel_text(declined)
+    assert texts == ["%.17g" % v for v in declined]
+    assert scalar == len(declined)
+    # values like the painted fields' take none: log-uniform, signed, away from powers of ten
+    rng = np.random.default_rng(25)
+    u = rng.uniform(-44.0, -2.0, size=10_100)
+    u = u[np.abs(u - np.rint(u)) > 1e-6][:10_000]
+    traffic = (10.0**u * rng.choice([-1.0, 1.0], size=len(u))).tolist() + [0.0, -0.0]
+    texts, scalar = _kernel_text(traffic)
+    assert texts == ["%.17g" % v for v in traffic]
+    assert (len(traffic), scalar) == (10_002, 0)
 
 
 def _near_ties():
