@@ -4,15 +4,7 @@ Closed-form propagation of two counter-propagating weak probes through a
 coherently driven medium, the frequency-mixed fields they generate, and
 the interference observables of the resultant outputs.
 """
-from .analysis import (
-    AnalysisSpec,
-    AzimuthalProfile,
-    azimuthal_profile,
-    peak_angle,
-    petal_count,
-    ring_radius,
-    winding_number,
-)
+from .analysis import AnalysisSpec, AzimuthalProfile, peak_angle, petal_count
 from .beams import ComplexField, Grid2D, GridSpec, LGBeamSpec, make_grid, sample_lg
 from .config import RunConfig, default_config, load_config, parse_config
 from .errors import VortexTwmError
@@ -32,7 +24,7 @@ from .propagation import (
     solve_channel_p,
     solve_channel_s,
 )
-from .runner import compute_fields, run_config
+from .runner import analyse, compute_fields, run_config
 from .verify import run_verify
 
 __version__ = "0.1.0"
@@ -49,7 +41,7 @@ __all__ = [
     "MediumParams",
     "RunConfig",
     "VortexTwmError",
-    "azimuthal_profile",
+    "analyse",
     "beta_factor",
     "compute_fields",
     "default_config",
@@ -62,7 +54,6 @@ __all__ = [
     "peak_angle",
     "petal_count",
     "reproduce_figure",
-    "ring_radius",
     "run_config",
     "run_sweep",
     "run_verify",
@@ -70,7 +61,6 @@ __all__ = [
     "solve_channel_p",
     "solve_channel_s",
     "steady_coherences",
-    "winding_number",
     "y_factor",
     "__version__",
 ]

@@ -1,10 +1,11 @@
-"""Observables extracted from complex fields.
+"""Ring observables of a field, read from the amplitudes R_k(r) of its angular orders.
 
-Ring observables read the amplitudes R_k(r) of the field's angular orders
-(ComplexField.orders), never the grid, and are exact; a field without
-orders raises NoClosedFormError.  Each is its checks plus a step on the
-amplitudes that runner.analyse reuses.  All angular quantities follow the
-grid convention theta = atan2(y, x) measured counterclockwise from +x.
+A field of orders k is sum_k R_k(r) exp(i k theta) at any polar point, so
+each ring observable is a step on amps, the field's {k: R_k} at one ring
+or at the rings scan_radii lists, and is exact; runner.analyse reads amps
+from the closed form (propagation.output_rings) and runs these steps.  All
+angular quantities follow the grid convention theta = atan2(y, x) measured
+counterclockwise from +x.
 """
 from __future__ import annotations
 
@@ -12,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import ComplexField, Grid2D, GridSpec
+from .beams import Grid2D, GridSpec
 from .errors import (
     AmplitudeFloorError,
-    DegenerateMediumError,
     InvalidConfigError,
-    NoClosedFormError,
     NonFiniteFieldError,
     OutOfGridError,
     StructurelessProfileError,
@@ -83,34 +82,16 @@ def check_radius(radius: float, extent: float) -> float:
     return radius
 
 
-def _amplitudes(field: ComplexField, radius) -> dict:
-    """R_k at a radius or an array of radii, for each order k of the field."""
-    if not field.orders:
-        raise NoClosedFormError("field has no closed form (orders) to read its rings from")
-    return {k: np.asarray(radial(radius), dtype=complex) for k, radial in field.orders.items()}
-
-
-def winding_number(field: ComplexField, radius: float | None = None) -> int:
+def winding_number(peak: float, amps: dict) -> int:
     """Topological charge of a ring: its dominant angular order.
 
-    When |R_k| of one order exceeds the sum of all other |R_j| on the ring,
-    the ring never vanishes and its phase winds exactly k times.  A margin
-    below AMPLITUDE_FLOOR of radial_max over the scanned rings and this one
-    raises AmplitudeFloorError; for one or two orders that is exactly a ring
-    that reaches zero.  By default the brightest ring (ring_radius) is used.
+    amps is the field's {k: R_k} on the ring and peak its radial_max over
+    the scanned rings and this one.  When |R_k| of one order exceeds the
+    sum of all other |R_j| on the ring, the ring never vanishes and its
+    phase winds exactly k times.  A margin below AMPLITUDE_FLOOR of peak
+    raises AmplitudeFloorError; for one or two orders that is exactly a
+    ring that reaches zero.
     """
-    try:
-        peak = radial_max(_amplitudes(field, scan_radii(field.grid)))
-    except (DegenerateMediumError, OutOfGridError):  # as in runner.analyse: the ring alone
-        peak = 0.0
-    if radius is None:
-        radius = ring_radius(field)
-    amps = _amplitudes(field, check_radius(radius, field.grid.extent))
-    return dominant_order(max(peak, radial_max(amps)), amps)
-
-
-def dominant_order(peak: float, amps: dict) -> int:
-    """winding_number from amps, a field's {k: R_k} on the ring, and peak, its maximum."""
     if peak == 0.0:
         raise AmplitudeFloorError("zero field has no phase to wind")
     mags = {k: float(abs(a)) for k, a in amps.items()}
@@ -122,15 +103,12 @@ def dominant_order(peak: float, amps: dict) -> int:
     return int(top)
 
 
-def azimuthal_profile(field: ComplexField, radius: float, m: int = DEFAULT_M) -> AzimuthalProfile:
-    """Intensity |field|^2 at m uniform angles of the given ring, with its orders."""
-    m = AnalysisSpec(m=m).m
-    radius = check_radius(radius, field.grid.extent)
-    return ring_profile(radius, _amplitudes(field, radius), m)
+def azimuthal_profile(radius: float, amps: dict, m: int) -> AzimuthalProfile:
+    """Intensity |field|^2 at m uniform angles of the ring of that radius, with its orders.
 
-
-def ring_profile(radius: float, amps: dict, m: int) -> AzimuthalProfile:
-    """azimuthal_profile on the ring of that radius from amps, the field's {k: R_k} there."""
+    amps is the field's {k: R_k} on that ring; m and radius are checked by
+    their owners, AnalysisSpec and check_radius.
+    """
     amps = {k: complex(a) for k, a in amps.items()}
     thetas = 2.0 * np.pi * np.arange(m) / m
     vals = sum(a * np.exp(1j * k * thetas) for k, a in amps.items())
@@ -182,13 +160,6 @@ def peak_angle(profile: AzimuthalProfile) -> float:
     return 0.0 if angle == period else angle
 
 
-def ring_radius(field: ComplexField) -> float:
-    """The radius of scan_radii of largest ring-mean intensity sum_k |R_k(r)|^2, first of ties."""
-    radii = scan_radii(field.grid)
-    scan = _amplitudes(field, radii)
-    return brightest_ring(radial_max(scan), radii, scan)
-
-
 def radial_max(amps: dict) -> float:
     """The largest sum_k |R_k(r)| of amps, a field's {k: R_k} at one or more radii, which
     is its largest |field| there for one or two orders; a non-finite value raises."""
@@ -206,8 +177,12 @@ def scan_radii(grid: Grid2D | GridSpec) -> np.ndarray:
     return np.arange(0.0, grid.extent + 0.25 * step, 0.5 * step)
 
 
-def brightest_ring(peak: float, radii: np.ndarray, amps: dict) -> float:
-    """ring_radius from amps, a field's {k: R_k} at the scanned radii, and their radial_max."""
+def ring_radius(peak: float, radii: np.ndarray, amps: dict) -> float:
+    """The radius of largest ring-mean intensity sum_k |R_k(r)|^2, first of ties.
+
+    amps is the field's {k: R_k} at radii, the rings of scan_radii, and
+    peak their radial_max.
+    """
     if peak == 0.0:
         raise ZeroFieldError("ring radius undefined for an all-zero field")
     means = sum(np.abs(a) ** 2 for a in amps.values())

@@ -109,9 +109,6 @@ class LGBeamSpec:
 class ComplexField:
     """Complex amplitude per grid pixel, same units as the beam amplitude.
 
-    orders, if set, maps each angular order k to its radial part R_k(r):
-    the field is sum_k R_k(r) exp(i k theta) at any polar point, and values
-    is that sum on the grid up to rounding.  A bare array has none.
     peak is the largest amplitude |value| on the grid.  A value with a NaN
     or infinite part, or with finite parts whose modulus overflows, is
     rejected, so peak is finite.
@@ -119,7 +116,6 @@ class ComplexField:
 
     grid: Grid2D
     values: np.ndarray
-    orders: dict[int, Callable[[np.ndarray], np.ndarray]] | None = None
     peak: float = field(init=False)
 
     def __post_init__(self):
@@ -155,7 +151,6 @@ def sample_lg(spec: LGBeamSpec, grid: Grid2D) -> ComplexField:
 
     The r = 0 pixel is evaluated exactly: 0**0 == 1 gives eps for l = 0,
     and the radial factor is exactly zero for l != 0, so the phase
-    singularity needs no epsilon offset.  The field has the one order l,
-    whose radial part is lg_radial.
+    singularity needs no epsilon offset.  Its radial part is lg_radial.
     """
-    return ComplexField(grid, _lg(spec, grid.r, grid.theta), {spec.tc: lg_radial(spec)})
+    return ComplexField(grid, _lg(spec, grid.r, grid.theta))

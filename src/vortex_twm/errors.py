@@ -59,10 +59,6 @@ class ZeroFieldError(VortexTwmError):
     """Operation requires a field with at least one nonzero sample."""
 
 
-class NoClosedFormError(VortexTwmError):
-    """A ring observable was asked of a field that carries no angular orders."""
-
-
 class NonFiniteFieldError(InvalidConfigError):
     """A field, or a radial part read from its closed form, has a NaN or infinite value."""
 

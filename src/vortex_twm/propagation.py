@@ -217,6 +217,14 @@ def _output_parts(lc: int, lp: int, ls: int) -> dict:
 def output_rings(p: MediumParams, control, probe_p, probe_s):
     """rings(r): each output's {k: R_k(r)}, for inputs of one order each, given as (k, R_k).
 
+    Propagation is per pixel and sees the control only through
+    |control|^2, so inputs of one angular order each (lc, lp, ls) give
+    outputs of the orders below, each radial part being the same formula
+    applied to the inputs' radial parts (coinciding orders add):
+
+        omega_fp {ls - lc}    omega_s {ls}    omega_d {lp, ls - lc}
+        omega_fs {lc + lp}    omega_p {lp}    omega_u {ls, lc + lp}
+
     One _exit_faces evaluation on the inputs' R_k(r), so a scalar r stays
     scalar; each call makes new complex arrays shaped as r, and keeps none.
     """
@@ -230,10 +238,6 @@ def output_rings(p: MediumParams, control, probe_p, probe_s):
         return {name: {k: parts[part] for k, part in t.items()} for name, t in table.items()}
 
     return rings
-
-
-def _order_view(rings, name: str, k: int):
-    return lambda r: rings(r)[name][k]
 
 
 def output_fields(
@@ -253,25 +257,9 @@ def output_fields(
 
     omega_fp, omega_fs, omega_s and omega_p are the propagated constituents
     at their exit faces, the generated fields and the transmitted probes.
-
-    Propagation is per pixel and sees the control only through
-    |control|^2, so inputs of one angular order each (lc, lp, ls) give
-    outputs of the orders below, each radial part being the same formula
-    applied to the inputs' radial parts (coinciding orders add):
-
-        omega_fp {ls - lc}    omega_s {ls}    omega_d {lp, ls - lc}
-        omega_fs {lc + lp}    omega_p {lp}    omega_u {ls, lc + lp}
-
-    Otherwise the outputs have no orders.  Each order is a view of
-    output_rings: a call evaluates all six outputs afresh.
+    Each pixel is the same formula as output_rings applies to radial parts.
     """
     inputs = (control_field, probe_p, probe_s)
     grid = _shared_grid(*inputs)
     values = _exit_faces(p, *(f.values for f in inputs))
-    orders = {}
-    if all(f.orders is not None and len(f.orders) == 1 for f in inputs):
-        pairs = [next(iter(f.orders.items())) for f in inputs]
-        rings = output_rings(p, *pairs)
-        table = _output_parts(*(k for k, _radial in pairs))
-        orders = {name: {k: _order_view(rings, name, k) for k in t} for name, t in table.items()}
-    return {name: ComplexField(grid, v, orders.get(name)) for name, v in values.items()}
+    return {name: ComplexField(grid, v) for name, v in values.items()}

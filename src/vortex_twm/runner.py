@@ -108,8 +108,8 @@ def field_metrics(name: str, peak: float, ring, radius, amps, m: int):
     row.update(field=name, radius=radius, ring_radius=ring)
     if amps == "":
         return row, None
-    profile = analysis.ring_profile(radius, amps, m)
-    row["winding"] = _metric_or_blank(lambda: analysis.dominant_order(peak, amps))
+    profile = analysis.azimuthal_profile(radius, amps, m)
+    row["winding"] = _metric_or_blank(lambda: analysis.winding_number(peak, amps))
     row["petal_count"] = _metric_or_blank(lambda: analysis.petal_count(profile))
     row["peak_angle"] = _metric_or_blank(lambda: analysis.peak_angle(profile))
     return row, profile
@@ -161,7 +161,7 @@ def analyse(cfg: RunConfig) -> dict:
     reads, analysed = {"": ""}, {}  # metric ring -> the rings there, "" if unread
     for name in OUTPUT_NAMES:
         peak = analysis.radial_max(scan[name]) if scan else 0.0
-        ring = scan and _metric_or_blank(lambda: analysis.brightest_ring(peak, radii, scan[name]))
+        ring = scan and _metric_or_blank(lambda: analysis.ring_radius(peak, radii, scan[name]))
         radius = ring if cfg.analysis.radius == "auto" else cfg.analysis.radius
         key = str(radius)  # a float's repr keeps -0.0 apart from 0.0
         if key not in reads:

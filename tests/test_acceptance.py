@@ -19,20 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortex_twm.analysis import (
-    azimuthal_profile,
-    peak_angle,
-    petal_count,
-    ring_radius,
-    winding_number,
-)
 from vortex_twm.config import AnalysisSpec, GridSpec, LGBeamSpec, MediumParams, RunConfig
 from vortex_twm.propagation import (
     integrate_channel_numeric,
     solve_channel_p,
     solve_channel_s,
 )
-from vortex_twm.runner import compute_fields
+from vortex_twm.runner import analyse, compute_fields
 from vortex_twm.verify import (
     beta_branch_error,
     channel_oracle_error,
@@ -60,7 +53,7 @@ def _wrap_pi(a):
 
 
 def _run_case(medium, lc, lp, ls, n=256, radius="auto"):
-    cfg = RunConfig(
+    return RunConfig(
         medium=medium,
         control=LGBeamSpec(epsilon=CONTROL_EPS, tc=lc),
         probe_p=LGBeamSpec(epsilon=PROBE_EPS, tc=lp),
@@ -68,7 +61,11 @@ def _run_case(medium, lc, lp, ls, n=256, radius="auto"):
         grid=GridSpec(n=n),
         analysis=AnalysisSpec(radius=radius),
     )
-    return compute_fields(cfg)
+
+
+def _rows(cfg):
+    """The metric row of each output field of cfg, keyed by name."""
+    return {name: row for name, (row, _profile) in analyse(cfg).items()}
 
 
 # ---------------------------------------------------------------- C1
@@ -111,10 +108,10 @@ def test_criterion_02_steady_state_kernel():
 
 @pytest.fixture(scope="module")
 def charge_transfer():
-    """Output fields for a span of control charges, flat probes."""
+    """Output metric rows for a span of control charges, flat probes."""
     medium = MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=100.0)
     return {
-        lc: _run_case(medium, lc=lc, lp=0, ls=0)
+        lc: _rows(_run_case(medium, lc=lc, lp=0, ls=0))
         for lc in (-2, -1, 1, 2, 3)
     }
 
@@ -122,15 +119,15 @@ def charge_transfer():
 def test_criterion_03_charge_transfer(charge_transfer):
     """Sum-frequency output inherits the control charge, the
     difference-frequency output inherits its negative."""
-    for lc, fields in charge_transfer.items():
-        assert winding_number(fields["omega_fs"]) == lc
-        assert winding_number(fields["omega_fp"]) == -lc
+    for lc, rows in charge_transfer.items():
+        assert rows["omega_fs"]["winding"] == lc
+        assert rows["omega_fp"]["winding"] == -lc
 
 
 def test_criterion_04_ring_growth(charge_transfer):
     """Bright-ring radius of both generated fields grows with |charge|."""
-    rad_fs = [ring_radius(charge_transfer[lc]["omega_fs"]) for lc in (1, 2, 3)]
-    rad_fp = [ring_radius(charge_transfer[lc]["omega_fp"]) for lc in (1, 2, 3)]
+    rad_fs = [charge_transfer[lc]["omega_fs"]["ring_radius"] for lc in (1, 2, 3)]
+    rad_fp = [charge_transfer[lc]["omega_fp"]["ring_radius"] for lc in (1, 2, 3)]
     assert rad_fs[0] < rad_fs[1] < rad_fs[2], rad_fs
     assert rad_fp[0] < rad_fp[1] < rad_fp[2], rad_fp
 
@@ -144,16 +141,17 @@ def test_criterion_05_anti_phased_crescents():
     n = 257
     medium = MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=8.0)
     ring = _node_radius(n, math.sqrt(0.5))
-    fields = _run_case(medium, lc=1, lp=1, ls=1, n=n, radius=ring)
+    cfg = _run_case(medium, lc=1, lp=1, ls=1, n=n, radius=ring)
 
-    prof_d = azimuthal_profile(fields["omega_d"], ring)
-    prof_u = azimuthal_profile(fields["omega_u"], ring)
-    gap = (peak_angle(prof_d) - peak_angle(prof_u)) % (2.0 * math.pi)
+    rows = _rows(cfg)
+    gap = (rows["omega_d"]["peak_angle"] - rows["omega_u"]["peak_angle"]) % (2.0 * math.pi)
     assert abs(gap - math.pi) <= 0.01, f"crescent separation {gap:.4f}"
 
-    # Every exact-radius pixel class must carry the same summed power.
+    # Every exact-radius pixel class of the painted fields must carry the
+    # same summed power.
     # Group by rounded r^2: inter-class gaps are >= step^2 ~ 5.5e-4, so
     # a 1e-10 quantum never merges distinct rings.
+    fields = compute_fields(cfg)
     grid = fields["omega_d"].grid
     total = (
         np.abs(fields["omega_d"].values) ** 2
@@ -190,14 +188,13 @@ def detuning_sweep():
     rows = []
     for delta in DETUNINGS:
         medium = MediumParams(gamma31=1.0, gamma21=0.05, delta=delta, d=8.0)
-        fields = _run_case(medium, lc=1, lp=1, ls=1, n=n, radius=ring)
-        prof_d = azimuthal_profile(fields["omega_d"], ring)
-        prof_u = azimuthal_profile(fields["omega_u"], ring)
+        analysed = analyse(_run_case(medium, lc=1, lp=1, ls=1, n=n, radius=ring))
+        (row_d, prof_d), (row_u, prof_u) = analysed["omega_d"], analysed["omega_u"]
         rows.append(
             {
                 "delta": delta,
-                "peak_d": peak_angle(prof_d),
-                "peak_u": peak_angle(prof_u),
+                "peak_d": row_d["peak_angle"],
+                "peak_u": row_u["peak_angle"],
                 "spread_d": float(np.ptp(prof_d.intensities)),
                 "spread_u": float(np.ptp(prof_u.intensities)),
             }
@@ -235,15 +232,13 @@ def test_criterion_08_petal_law():
     ring = _node_radius(n, math.sqrt(0.5))
     for lc in (2, 3, 4):
         medium = MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=4.0)
-        fields = _run_case(medium, lc=lc, lp=1, ls=1, n=n, radius=ring)
-        prof_d = azimuthal_profile(fields["omega_d"], ring)
-        prof_u = azimuthal_profile(fields["omega_u"], ring)
-        assert petal_count(prof_d) == lc
-        assert petal_count(prof_u) == lc
+        rows = _rows(_run_case(medium, lc=lc, lp=1, ls=1, n=n, radius=ring))
+        assert rows["omega_d"]["petal_count"] == lc
+        assert rows["omega_u"]["petal_count"] == lc
         # Peak picking is arbitrary among identical petals, so compare
         # offsets modulo the petal period.
         period = 2.0 * math.pi / lc
-        gap = (peak_angle(prof_d) - peak_angle(prof_u)) % period
+        gap = (rows["omega_d"]["peak_angle"] - rows["omega_u"]["peak_angle"]) % period
         err = abs(gap - period / 2.0)
         assert err <= 0.02, f"lc={lc}: interleave off by {err:.4f}"
 

@@ -1,4 +1,3 @@
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,17 +8,20 @@ from vortex_twm.analysis import (
     AMPLITUDE_FLOOR,
     DEFAULT_M,
     PETAL_FLOOR,
+    AnalysisSpec,
     azimuthal_profile,
+    check_radius,
     peak_angle,
     petal_count,
+    radial_max,
     ring_radius,
+    scan_radii,
     winding_number,
 )
-from vortex_twm.beams import ComplexField, Grid2D, GridSpec, LGBeamSpec, make_grid, sample_lg
+from vortex_twm.beams import Grid2D, GridSpec, LGBeamSpec, lg_radial, make_grid
 from vortex_twm.errors import (
     AmplitudeFloorError,
     InvalidConfigError,
-    NoClosedFormError,
     OutOfGridError,
     StructurelessProfileError,
     ZeroFieldError,
@@ -29,8 +31,9 @@ from vortex_twm.runner import field_metrics
 GRID = make_grid(257, 3.0)
 
 
-def _lg(tc, epsilon=1.0, grid=GRID):
-    return sample_lg(LGBeamSpec(epsilon, tc), grid)
+def _lg(tc, epsilon=1.0, waist=1.0):
+    """The one order {tc: R} of a Laguerre-Gaussian beam, R its radial part."""
+    return {tc: lg_radial(LGBeamSpec(epsilon, tc, waist))}
 
 
 def _constant(value):
@@ -38,15 +41,35 @@ def _constant(value):
     return lambda r: np.full(np.shape(r), value, dtype=complex)
 
 
-def _ring_field(amps, grid=GRID):
-    """The field sum_k a_k exp(i k theta): order k has the constant radial part a_k."""
-    values = sum(a * np.exp(1j * k * grid.theta) for k, a in amps.items())
-    return ComplexField(grid, values, {k: _constant(a) for k, a in amps.items()})
+def _read(orders, r):
+    """The amplitudes {k: R_k(r)} of the field whose radial parts are orders."""
+    return {k: np.asarray(radial(r), dtype=complex) for k, radial in orders.items()}
+
+
+def _scan(orders, grid=GRID):
+    """The field's radial_max, the scanned radii and its amplitudes there."""
+    radii = scan_radii(grid)
+    scan = _read(orders, radii)
+    return radial_max(scan), radii, scan
+
+
+def _ring(orders, grid=GRID):
+    """The brightest ring of the field, as runner.analyse finds it."""
+    return ring_radius(*_scan(orders, grid))
+
+
+def _winding(orders, radius=None, grid=GRID):
+    """The winding of a ring of the field, the brightest by default, as runner.analyse reads it."""
+    peak, radii, scan = _scan(orders, grid)
+    if radius is None:
+        radius = ring_radius(peak, radii, scan)
+    amps = _read(orders, check_radius(radius, grid.extent))
+    return winding_number(max(peak, radial_max(amps)), amps)
 
 
 def _profile(amps, m=DEFAULT_M):
-    """Profile of the ring of _ring_field(amps) at radius 1."""
-    return azimuthal_profile(_ring_field(amps, make_grid(16, 3.0)), 1.0, m)
+    """Profile of the ring at radius 1 whose amplitudes are amps, {k: a_k}."""
+    return azimuthal_profile(1.0, amps, m)
 
 
 def _uniform_profile(level=1.0):
@@ -61,26 +84,24 @@ def _samples(amps, m):
 
 @pytest.mark.parametrize("tc", [-3, -1, 0, 1, 2, 4])
 def test_winding_recovers_lg_charge(tc):
-    assert winding_number(_lg(tc)) == tc
+    assert _winding(_lg(tc)) == tc
 
 
 def test_winding_at_explicit_radius():
     f = _lg(2)
-    assert winding_number(f, radius=1.0) == 2
-    assert winding_number(f, radius=2.5) == 2
+    assert _winding(f, radius=1.0) == 2
+    assert _winding(f, radius=2.5) == 2
 
 
 def test_conjugation_flips_winding():
-    f = _lg(3)
-    [(k, radial)] = f.orders.items()
-    flipped = ComplexField(GRID, np.conj(f.values), {-k: lambda r: np.conj(radial(r))})
-    assert winding_number(flipped) == -3
+    [(k, radial)] = _lg(3).items()
+    assert _winding({-k: lambda r: np.conj(radial(r))}) == -3
 
 
 def test_winding_coarse_sampling_still_exact():
-    # a 16-point grid samples the beam coarsely; its orders are still exact
+    # a 16-point grid scans few rings; the amplitudes are still exact
     for tc in (-2, 2, 5):
-        assert winding_number(_lg(tc, grid=make_grid(16, 3.0))) == tc
+        assert _winding(_lg(tc), grid=make_grid(16, 3.0)) == tc
 
 
 @given(
@@ -89,37 +110,34 @@ def test_winding_coarse_sampling_still_exact():
 )
 @settings(max_examples=40, deadline=None)
 def test_winding_scale_invariant(mag, phase):
-    g = make_grid(65, 3.0)
-    base = sample_lg(LGBeamSpec(1.0, 2), g)
+    [radial] = _lg(2).values()
     scale = mag * np.exp(1j * phase)
-    scaled = ComplexField(g, scale * base.values, {2: lambda r: scale * base.orders[2](r)})
-    assert winding_number(scaled, radius=1.0) == 2
+    scaled = {2: lambda r: scale * radial(r)}
+    assert _winding(scaled, radius=1.0, grid=make_grid(65, 3.0)) == 2
 
 
 def test_winding_amplitude_floor_on_nulled_ring():
     # radius 0 ring of a charged beam samples the axis null everywhere
     with pytest.raises(AmplitudeFloorError):
-        winding_number(_lg(1), radius=0.0)
+        _winding(_lg(1), radius=0.0)
 
 
 def test_winding_zero_field():
-    zero = _ring_field({1: 0.0})
+    zero = {1: 0.0}
     with pytest.raises(AmplitudeFloorError):
-        winding_number(zero, radius=1.0)
+        winding_number(radial_max(zero), zero)
     with pytest.raises(ZeroFieldError):
-        winding_number(zero)  # default radius scans the rings first
+        _winding({1: _constant(0.0)})  # default radius scans the rings first
 
 
 def test_profile_of_uniform_field_is_constant():
-    g = make_grid(64, 3.0)
-    f = ComplexField(g, np.full((64, 64), 0.7 - 0.2j), {0: _constant(0.7 - 0.2j)})
-    prof = azimuthal_profile(f, 1.3)
+    prof = azimuthal_profile(1.3, {0: 0.7 - 0.2j}, DEFAULT_M)
     assert prof.intensities == pytest.approx(np.full(DEFAULT_M, abs(0.7 - 0.2j) ** 2), rel=1e-12)
     assert petal_count(prof) == 0
 
 
 def test_profile_metadata():
-    prof = azimuthal_profile(_lg(1), 0.8, m=90)
+    prof = azimuthal_profile(0.8, _read(_lg(1), 0.8), 90)
     assert prof.radius == 0.8
     assert prof.thetas.shape == (90,)
     assert prof.thetas[0] == 0.0
@@ -129,26 +147,24 @@ def test_profile_metadata():
 
 
 def test_profile_sample_count_validated():
-    f = _lg(1)
+    # a profile's m has one owner, AnalysisSpec
     for bad in (15, 0, -4, 64.0):
         with pytest.raises(InvalidConfigError):
-            azimuthal_profile(f, 1.0, m=bad)
+            AnalysisSpec(m=bad)
 
 
 def test_profile_radius_validated():
-    f = _lg(1)
+    # a profile's ring has one owner, check_radius
     for bad in (-0.1, 3.5, np.inf, np.nan):
         with pytest.raises(OutOfGridError):
-            azimuthal_profile(f, bad)
+            check_radius(bad, GRID.extent)
 
 
 def test_painted_three_petal_ring_round_trip():
-    # orders 0 and 3 in step paint the intensity 1.25 + cos(3 theta); the
+    # orders 0 and 3 in step give the intensity 1.25 + cos(3 theta); the
     # profile must give it back, crest on the x axis
-    g = make_grid(513, 3.0)
     envelope = {0: lambda r: np.exp(-r * r), 3: lambda r: 0.5 * np.exp(-r * r)}
-    values = sum(radial(g.r) * np.exp(1j * k * g.theta) for k, radial in envelope.items())
-    prof = azimuthal_profile(ComplexField(g, values, envelope), 1.5)
+    prof = azimuthal_profile(1.5, _read(envelope, 1.5), DEFAULT_M)
     expect = np.exp(-4.5) * (1.25 + np.cos(3.0 * prof.thetas))
     assert np.max(np.abs(prof.intensities - expect)) <= 1e-15
     assert petal_count(prof) == 3
@@ -202,35 +218,33 @@ def test_peak_angle_needs_structure():
 
 def test_ring_radius_gaussian_peaks_on_axis():
     for n in (64, 257):
-        g = make_grid(n, 3.0)
-        assert ring_radius(sample_lg(LGBeamSpec(1.0, 0), g)) == 0.0
+        assert _ring(_lg(0), make_grid(n, 3.0)) == 0.0
 
 
 @pytest.mark.parametrize("tc", [1, 2, 3])
 def test_ring_radius_lg_law(tc):
     g = make_grid(513, 3.0)
-    r = ring_radius(sample_lg(LGBeamSpec(1.0, tc), g))
+    r = _ring(_lg(tc), g)
     assert abs(r - np.sqrt(tc / 2.0)) <= 0.5 * g.step
 
 
 def test_ring_radius_waist_scales():
     g = make_grid(513, 3.0)
-    r = ring_radius(sample_lg(LGBeamSpec(1.0, 2, waist=1.4), g))
+    r = _ring(_lg(2, waist=1.4), g)
     assert abs(r - 1.4 * np.sqrt(1.0)) <= 0.5 * g.step
 
 
 def test_ring_radius_zero_field():
     with pytest.raises(ZeroFieldError):
-        ring_radius(_ring_field({0: 0.0}))
+        _ring({0: _constant(0.0)})
 
 
 def test_single_sample_grid_has_no_ring_to_scan():
     # Grid2D admits one sample per axis (make_grid does not); its scan step is 0
     g = Grid2D(axis=np.array([0.0]), extent=0.0)
-    f = ComplexField(g, np.array([[1.0]]), {0: _constant(1.0)})
-    for read in (ring_radius, winding_number):
+    for read in (_ring, lambda orders, grid: _winding(orders, grid=grid)):
         with pytest.raises(OutOfGridError, match="single-sample grid"):
-            read(f)
+            read({0: _constant(1.0)}, grid=g)
 
 
 @pytest.mark.parametrize("n", [2, 257, 1000])
@@ -245,25 +259,21 @@ def test_a_grid_spec_scans_the_rings_of_its_grid(n, extent):
 
 def test_winding_radius_default_matches_explicit():
     f = _lg(2)
-    assert winding_number(f) == winding_number(f, radius=ring_radius(f))
+    assert _winding(f) == _winding(f, radius=_ring(f))
 
 
 @pytest.mark.parametrize("n", [256, 257])
 @pytest.mark.parametrize("tc", [1, 3])
 def test_ring_uniform_lg_has_no_petals(n, tc):
-    f = _lg(tc, grid=make_grid(n, 3.0))
-    for radius in (ring_radius(f), 0.5, 1.7):
-        prof = azimuthal_profile(f, radius)
+    f = _lg(tc)
+    for radius in (_ring(f, make_grid(n, 3.0)), 0.5, 1.7):
+        prof = azimuthal_profile(radius, _read(f, radius), DEFAULT_M)
         assert petal_count(prof) == 0
         with pytest.raises(StructurelessProfileError):
             peak_angle(prof)
 
 
-def test_field_without_closed_form_is_not_interpolated():
-    bare = ComplexField(GRID, _lg(2).values)
-    for read in (ring_radius, winding_number, lambda f: azimuthal_profile(f, 1.0)):
-        with pytest.raises(NoClosedFormError, match="no closed form"):
-            read(bare)
+def test_a_row_without_a_ring_read_keeps_only_its_radius():
     for radius in ("", 1.0):  # a row without a ring read keeps only its radius
         row, profile = field_metrics("omega_fs", 0.0, "", radius, "", DEFAULT_M)
         assert profile is None
@@ -302,13 +312,11 @@ def test_ring_radius_is_the_brightest_sampled_ring(amps, centres):
         return lambda r: a * np.exp(-((r - centre) ** 2))
 
     orders = {k: band(a, c) for (k, a), c in zip(amps.items(), centres)}
-    values = sum(R(g.r) * np.exp(1j * k * g.theta) for k, R in orders.items())
-    field = ComplexField(g, values, orders)
     radii = np.arange(0.0, g.extent + 0.25 * g.step, 0.5 * g.step)
     thetas = 2.0 * np.pi * np.arange(4096) / 4096
     rings = sum(R(radii)[:, None] * np.exp(1j * k * thetas) for k, R in orders.items())
     sampled = np.mean(np.abs(rings) ** 2, axis=1)
-    chosen = int(np.flatnonzero(radii == ring_radius(field))[0])
+    chosen = int(np.flatnonzero(radii == _ring(orders, g))[0])
     assert sampled[chosen] >= sampled.max() * (1.0 - 1e-12)
 
 
@@ -347,18 +355,17 @@ def test_winding_is_the_sampled_phase_sum(amps):
     assume(mags[0] - sum(mags[1:]) >= 0.1 * sum(mags))  # one order dominates clearly
     vals = _samples(amps, 4096)
     steps = np.angle(np.roll(vals, -1) * np.conj(vals))
-    assert winding_number(_ring_field(amps), radius=1.0) == round(steps.sum() / (2.0 * np.pi))
+    assert winding_number(radial_max(amps), amps) == round(steps.sum() / (2.0 * np.pi))
 
 
 def test_two_equal_orders_leave_the_winding_blank():
     # |R_1| = |R_-1|: the ring passes through zero twice and has no winding
-    field = _ring_field({1: 0.5, -1: 0.5 * np.exp(0.3j)})
+    amps = {1: 0.5, -1: 0.5 * np.exp(0.3j)}
     with pytest.raises(AmplitudeFloorError):
-        winding_number(field, radius=1.0)
+        winding_number(radial_max(amps), amps)
     # just above the floor, the larger order wins
-    tilted = _ring_field({1: 0.5 + 3.0 * AMPLITUDE_FLOOR, -1: 0.5 * np.exp(0.3j)})
-    assert winding_number(tilted, radius=1.0) == 1
-    amps = {k: radial(1.0) for k, radial in field.orders.items()}
+    tilted = {1: 0.5 + 3.0 * AMPLITUDE_FLOOR, -1: 0.5 * np.exp(0.3j)}
+    assert winding_number(radial_max(tilted), tilted) == 1
     row, profile = field_metrics("omega_d", analysis.radial_max(amps), "", 1.0, amps, DEFAULT_M)
     assert row["winding"] == ""
     assert profile is not None and petal_count(profile) == 2

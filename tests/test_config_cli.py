@@ -18,8 +18,14 @@ from hypothesis import strategies as st
 
 import vortex_twm
 from vortex_twm import cli
-from vortex_twm.analysis import azimuthal_profile, winding_number
-from vortex_twm.beams import EPSILON_MAX, LGBeamSpec, make_grid
+from vortex_twm.analysis import (
+    azimuthal_profile,
+    check_radius,
+    radial_max,
+    scan_radii,
+    winding_number,
+)
+from vortex_twm.beams import EPSILON_MAX, LGBeamSpec, lg_radial, make_grid
 from vortex_twm._parallel import map_items
 from vortex_twm.config import (
     AnalysisSpec,
@@ -35,7 +41,8 @@ from vortex_twm.errors import DegenerateMediumError, InvalidConfigError, OutOfGr
 from vortex_twm.medium import MediumParams
 from vortex_twm.figures import FIGURE_IDS, _FIGURES
 from vortex_twm.render import write_profile_csv
-from vortex_twm.runner import compute_fields, file_sha256, run_config
+from vortex_twm.propagation import output_rings
+from vortex_twm.runner import analyse, file_sha256, run_config
 from vortex_twm.verify import SuiteResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -239,25 +246,25 @@ def test_python_config_round_trips_and_its_echo_is_a_fixed_point(cfg):
 @pytest.mark.parametrize(
     "section, value, library",
     [
-        ("grid", {"n": 1, "extent": 3.0}, lambda f: make_grid(1, 3.0)),
-        ("grid", {"n": 4097, "extent": 3.0}, lambda f: make_grid(4097, 3.0)),
-        ("grid", {"n": 32, "extent": -1.0}, lambda f: make_grid(32, -1.0)),
-        ("grid", {"n": 32, "extent": float("nan")}, lambda f: make_grid(32, float("nan"))),
-        ("analysis", {"radius": "auto", "m": 15}, lambda f: azimuthal_profile(f, 1.0, 15)),
-        ("analysis", {"radius": "auto", "m": 65537}, lambda f: azimuthal_profile(f, 1.0, 65537)),
-        ("analysis", {"radius": 3.5, "m": 720}, lambda f: azimuthal_profile(f, 3.5)),
-        ("analysis", {"radius": -0.25, "m": 720}, lambda f: winding_number(f, -0.25)),
+        ("grid", {"n": 1, "extent": 3.0}, lambda extent: make_grid(1, extent)),
+        ("grid", {"n": 4097, "extent": 3.0}, lambda extent: make_grid(4097, extent)),
+        ("grid", {"n": 32, "extent": -1.0}, lambda extent: make_grid(32, -1.0)),
+        ("grid", {"n": 32, "extent": float("nan")}, lambda extent: make_grid(32, float("nan"))),
+        ("analysis", {"radius": "auto", "m": 15}, lambda extent: AnalysisSpec(m=15)),
+        ("analysis", {"radius": "auto", "m": 65537}, lambda extent: AnalysisSpec(m=65537)),
+        ("analysis", {"radius": 3.5, "m": 720}, lambda extent: check_radius(3.5, extent)),
+        ("analysis", {"radius": -0.25, "m": 720}, lambda extent: check_radius(-0.25, extent)),
     ],
     ids=["n_1", "n_4097", "extent_negative", "extent_nan", "m_15", "m_65537", "radius_3.5",
          "radius_negative"],
 )
 def test_config_and_library_reject_a_key_with_one_text(section, value, library):
     """Each key's rules have one owner, ceilings included, so both ways in raise one message."""
-    field = compute_fields(parse_config(_small_doc()))["omega_d"]  # extent 3.0
+    extent = parse_config(_small_doc()).grid.extent  # 3.0
     with pytest.raises(InvalidConfigError) as by_config:
         parse_config(_small_doc(**{section: value}))
     with pytest.raises(InvalidConfigError) as by_library:
-        library(field)
+        library(extent)
     message = str(by_config.value)
     assert message == str(by_library.value) and message.startswith(f"{section}.")
     assert type(by_config.value) is type(by_library.value)
@@ -722,6 +729,12 @@ def test_cli_sweep_happy_path(tmp_path):
     assert manifest["sweep"]["values"] == [0.0, 3.0]
 
 
+def _output_rings(cfg):
+    """rings(r) of cfg's six outputs, the closed form its products read."""
+    beams = (cfg.control, cfg.probe_p, cfg.probe_s)
+    return output_rings(cfg.medium, *((b.tc, lg_radial(b)) for b in beams))
+
+
 def test_cli_fields_profiles_every_field_on_a_pinned_ring(tmp_path):
     # the one way to profile a field at a chosen ring: pin analysis.radius
     doc = _small_doc(outputs=["profiles"], analysis={"radius": 1.0, "m": 720})
@@ -729,12 +742,12 @@ def test_cli_fields_profiles_every_field_on_a_pinned_ring(tmp_path):
     out = tmp_path / "prof"
     assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 0
     cfg = load_config(path)
-    fields = compute_fields(cfg)
+    rings = _output_rings(cfg)(1.0)
     written = sorted((out / "profiles").iterdir())
-    assert [p.name for p in written] == sorted(f"{name}_profile.csv" for name in fields)
-    for name, field in fields.items():
+    assert [p.name for p in written] == sorted(f"{name}_profile.csv" for name in rings)
+    for name, amps in rings.items():
         want = tmp_path / f"want_{name}.csv"
-        write_profile_csv(azimuthal_profile(field, 1.0, cfg.analysis.m), want)
+        write_profile_csv(azimuthal_profile(1.0, amps, cfg.analysis.m), want)
         got = (out / "profiles" / f"{name}_profile.csv").read_bytes()
         assert got == want.read_bytes()
         assert len(got.decode().splitlines()) == 721
@@ -828,11 +841,14 @@ def test_a_pinned_ring_winds_where_the_scan_meets_the_axis():
         probe_p={"epsilon": 0.005, "tc": 1},
         probe_s={"epsilon": 0.005, "tc": 1},
     ))
-    fields = compute_fields(cfg)
+    rings = _output_rings(cfg)
     with pytest.raises(DegenerateMediumError):
-        winding_number(fields["omega_fs"])
-    assert winding_number(fields["omega_fs"], 1.0) == 2
-    assert winding_number(fields["omega_fp"], 1.0) == 0
+        rings(scan_radii(cfg.grid))
+    amps = rings(1.0)
+    assert winding_number(radial_max(amps["omega_fs"]), amps["omega_fs"]) == 2
+    assert winding_number(radial_max(amps["omega_fp"]), amps["omega_fp"]) == 0
+    pinned = analyse(dataclasses.replace(cfg, analysis=AnalysisSpec(1.0)))
+    assert (pinned["omega_fs"][0]["winding"], pinned["omega_fp"][0]["winding"]) == (2, 0)
 
 
 def test_cli_verify_fast_passes(capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vortex_twm import analysis, cli, figures, propagation, runner
-from vortex_twm.beams import make_grid, sample_lg
+from vortex_twm.beams import lg_radial, make_grid, sample_lg
 from vortex_twm.config import load_config, parse_config
 from vortex_twm.errors import GridMismatchError, InvalidConfigError
 from vortex_twm.figures import (
@@ -157,20 +157,20 @@ def test_fig5_structure_and_physics(tmp_path):
     assert table[-9.0][4] < table[0.0][4]
 
 
-def _counting_brightest_ring(monkeypatch):
+def _counting_ring_radius(monkeypatch):
     calls = []
-    real = analysis.brightest_ring
+    real = analysis.ring_radius
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "brightest_ring", counted)
+    monkeypatch.setattr(analysis, "ring_radius", counted)
     return calls
 
 
 def test_run_config_finds_each_ring_once(tmp_path, monkeypatch):
-    calls = _counting_brightest_ring(monkeypatch)
+    calls = _counting_ring_radius(monkeypatch)
     cfg = load_config(CONFIGS / "transfer.json")
     assert {"profiles", "metrics"} <= set(cfg.outputs)
     run_config(cfg, tmp_path / "run")
@@ -180,7 +180,7 @@ def test_run_config_finds_each_ring_once(tmp_path, monkeypatch):
 
 
 def test_fig3_table_reads_cell_metrics(tmp_path, monkeypatch):
-    calls = _counting_brightest_ring(monkeypatch)
+    calls = _counting_ring_radius(monkeypatch)
     out = tmp_path / "fig3"
     manifest = reproduce_figure("fig3", out)
     assert len(calls) == 6 * len(manifest["cells"])
@@ -509,11 +509,11 @@ def test_crescent_flips_are_sign_changes_of_the_rk4_oracle(depth, flip_steps):
     closed form, finds its sign, and it changes exactly where peak_d flips."""
     base = _interference_base(depth, ("metrics",))
     base = replace(base, grid=replace(base.grid, n=33))
-    grid, r = make_grid(base.grid.n, base.grid.extent), np.array(base.analysis.radius)
-    b0 = sample_lg(base.probe_p, grid).orders[base.probe_p.tc](r)  # the ring at theta = 0
+    r = np.array(base.analysis.radius)
+    b0 = lg_radial(base.probe_p)(r)  # the ring at theta = 0
     signs = []
     for _label, cfg in _sweep_cells(base, "amp", CONTROL_AMPLITUDES):
-        c = sample_lg(cfg.control, grid).orders[cfg.control.tc](r)
+        c = lg_radial(cfg.control)(r)
         state = integrate_channel_numeric(cfg.medium, c, b0, "p", 1000)
         factor = complex(state.generated / (-1j * c * b0))
         assert abs(factor.imag) <= 1e-9 * abs(factor), (cfg.control.epsilon, factor)

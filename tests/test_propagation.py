@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortex_twm import medium, propagation, verify
-from vortex_twm.beams import ComplexField, LGBeamSpec, make_grid, sample_lg
+from vortex_twm.beams import LGBeamSpec, lg_radial, make_grid, sample_lg
+from vortex_twm.config import GridSpec, RunConfig
 from vortex_twm.errors import (
     DegenerateMediumError,
     GridMismatchError,
@@ -22,10 +23,11 @@ from vortex_twm.propagation import (
     ChannelState,
     integrate_channel_numeric,
     output_fields,
+    output_rings,
     solve_channel_p,
     solve_channel_s,
 )
-from vortex_twm.runner import compute_fields
+from vortex_twm.runner import analyse, compute_fields
 
 CANON = MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=100.0)
 
@@ -222,68 +224,67 @@ def test_series_switch_continuity():
 
 def test_winding_arithmetic_of_generated_fields():
     # fs carries control + p-probe charge; fp carries s-probe - control charge
-    from vortex_twm.analysis import winding_number
-
-    g = make_grid(128, 3.0)
     p = MediumParams(1.0, 0.05, 0.0, 8.0)
     for lc, lp, ls in ((1, 0, 0), (2, 1, 1), (-1, 1, 0), (3, 0, 1)):
-        ctrl = sample_lg(LGBeamSpec(4.0, lc), g)
-        probe_p = sample_lg(LGBeamSpec(0.005, lp), g)
-        probe_s = sample_lg(LGBeamSpec(0.005, ls), g)
-        out = output_fields(p, ctrl, probe_p, probe_s)
-        assert winding_number(out["omega_fs"]) == lc + lp
-        assert winding_number(out["omega_fp"]) == ls - lc
+        cfg = RunConfig(
+            medium=p,
+            control=LGBeamSpec(4.0, lc),
+            probe_p=LGBeamSpec(0.005, lp),
+            probe_s=LGBeamSpec(0.005, ls),
+            grid=GridSpec(128, 3.0),
+        )
+        rows = {name: row for name, (row, _profile) in analyse(cfg).items()}
+        assert rows["omega_fs"]["winding"] == lc + lp
+        assert rows["omega_fp"]["winding"] == ls - lc
 
 
 def test_output_fields_zero_control_passthrough():
     g = make_grid(32, 3.0)
-    probe_p = sample_lg(LGBeamSpec(0.004, 1), g)
-    probe_s = sample_lg(LGBeamSpec(0.003, 0), g)
+    dark, spec_p, spec_s = LGBeamSpec(0.0, 0), LGBeamSpec(0.004, 1), LGBeamSpec(0.003, 0)
+    probe_p, probe_s = sample_lg(spec_p, g), sample_lg(spec_s, g)
 
-    zero = ComplexField(g, np.zeros((32, 32)), {0: lambda r: np.zeros(np.shape(r))})
-    out = output_fields(CANON, zero, probe_p, probe_s)
+    out = output_fields(CANON, sample_lg(dark, g), probe_p, probe_s)
     assert np.array_equal(out["omega_d"].values, probe_p.values)
     assert np.array_equal(out["omega_u"].values, probe_s.values)
     # each output keeps its probe's order and gains a dark generated one
     r = np.linspace(0.0, 3.0, 7)
-    assert sorted(out["omega_d"].orders) == [0, 1]
-    assert np.array_equal(out["omega_d"].orders[1](r), probe_p.orders[1](r))
-    assert np.array_equal(out["omega_u"].orders[0](r), probe_s.orders[0](r))
-    assert not np.any(out["omega_d"].orders[0](r)) and not np.any(out["omega_u"].orders[1](r))
+    rings = output_rings(CANON, *((b.tc, lg_radial(b)) for b in (dark, spec_p, spec_s)))(r)
+    assert sorted(rings["omega_d"]) == [0, 1]
+    assert np.array_equal(rings["omega_d"][1], lg_radial(spec_p)(r))
+    assert np.array_equal(rings["omega_u"][0], lg_radial(spec_s)(r))
+    assert not np.any(rings["omega_d"][0]) and not np.any(rings["omega_u"][1])
 
 
-def _order_sum(field, grid):
-    return sum(radial(grid.r) * np.exp(1j * k * grid.theta) for k, radial in field.orders.items())
+def _order_sum(amps, grid):
+    return sum(a * np.exp(1j * k * grid.theta) for k, a in amps.items())
 
 
 @pytest.mark.parametrize("n", [256, 257])
 def test_values_are_the_closed_form_on_the_grid(n):
-    # values is the order sum on the grid, to rounding; the last two charge
-    # sets make orders coincide (lp = ls - lc and ls = lc + lp)
+    # the painted values are output_rings' order sum at grid.r, to rounding; the
+    # last two charge sets make orders coincide (lp = ls - lc and ls = lc + lp)
     g = make_grid(n, 3.0)
+    p = MediumParams(1.0, 0.05, 1.5, 8.0)
     for lc, lp, ls in ((2, 1, 0), (-2, -1, 1), (-3, 2, -1), (1, 0, 1), (-1, 1, 0)):
-        charges = ((4.0, lc), (0.005, lp), (0.003, ls))
-        inputs = [sample_lg(LGBeamSpec(eps, tc), g) for eps, tc in charges]
-        out = output_fields(MediumParams(1.0, 0.05, 1.5, 8.0), *inputs)
+        specs = dict(zip(("control", "probe_p", "probe_s"), (
+            LGBeamSpec(4.0, lc), LGBeamSpec(0.005, lp), LGBeamSpec(0.003, ls)
+        )))
+        inputs = {name: sample_lg(spec, g) for name, spec in specs.items()}
+        fields = {**inputs, **output_fields(p, *inputs.values())}
+        rings = {
+            **{name: {spec.tc: lg_radial(spec)(g.r)} for name, spec in specs.items()},
+            **output_rings(p, *((spec.tc, lg_radial(spec)) for spec in specs.values()))(g.r),
+        }
         want = {
             "control": {lc}, "probe_p": {lp}, "probe_s": {ls},
             "omega_d": {lp, ls - lc}, "omega_u": {ls, lc + lp}, "omega_fp": {ls - lc},
             "omega_fs": {lc + lp}, "omega_s": {ls}, "omega_p": {lp},
         }
-        for name, f in [*zip(("control", "probe_p", "probe_s"), inputs), *out.items()]:
-            assert set(f.orders) == want[name]
+        for name, f in fields.items():
+            assert set(rings[name]) == want[name]
             peak = float(np.max(np.abs(f.values)))
-            err = float(np.max(np.abs(_order_sum(f, g) - f.values)))
+            err = float(np.max(np.abs(_order_sum(rings[name], g) - f.values)))
             assert err <= 1e-12 * peak, (lc, lp, ls, name, err / peak)
-
-
-def test_outputs_of_multi_order_inputs_have_no_orders():
-    g = make_grid(32, 3.0)
-    ctrl, probe = sample_lg(LGBeamSpec(4.0, 1), g), sample_lg(LGBeamSpec(0.005, 0), g)
-    two = ComplexField(g, probe.values, {0: probe.orders[0], 2: probe.orders[0]})
-    bare = ComplexField(g, probe.values)
-    for inputs in ((ctrl, two, probe), (ctrl, probe, bare), (bare, probe, probe)):
-        assert all(f.orders is None for f in output_fields(CANON, *inputs).values())
 
 
 def test_output_fields_composition_identities():
@@ -306,17 +307,15 @@ def test_output_fields_grid_mismatch():
         output_fields(CANON, ctrl, pp, ps)
 
 
-def _ring_read_fields():
-    """Inputs of orders lc = 1, lp = 1, ls = 0 and their outputs."""
-    g = make_grid(48, 3.0)
+def _ring_reads():
+    """The radial parts of inputs of orders lc = 1, lp = 1, ls = 0, and their outputs' rings."""
     specs = (LGBeamSpec(4.0, 1), LGBeamSpec(0.005, 1), LGBeamSpec(0.005, 0))
-    inputs = [sample_lg(spec, g) for spec in specs]
-    return inputs, output_fields(CANON, *inputs)
+    radials = [lg_radial(spec) for spec in specs]
+    return radials, output_rings(CANON, *((spec.tc, lg_radial(spec)) for spec in specs))
 
 
 def test_ring_reads_equal_an_uncached_evaluation():
-    inputs, out = _ring_read_fields()
-    radials = [next(iter(f.orders.values())) for f in inputs]
+    radials, rings = _ring_reads()
     # (field, the order that carries an exit face, that face) for lc = lp = 1, ls = 0
     parts = [("omega_d", -1, "omega_fp"), ("omega_u", 2, "omega_fs"), ("omega_fp", -1, "omega_fp"),
              ("omega_fs", 2, "omega_fs"), ("omega_s", 0, "omega_s"), ("omega_p", 1, "omega_p")]
@@ -328,15 +327,19 @@ def test_ring_reads_equal_an_uncached_evaluation():
         want = propagation._exit_faces(CANON, *(radial(r) for radial in radials))
         signed.append(np.asarray(want["omega_p"]).tobytes())
         for name, k, face in parts:
-            got = out[name].orders[k](r)
+            got = rings(r)[name][k]
             assert np.shape(got) == np.shape(want[face])
             assert np.asarray(got).tobytes() == np.asarray(want[face]).tobytes(), (name, r)
     assert signed[2] != signed[3]  # the signs of zero radii reach the bits
 
 
+def _fp_reader():
+    _radials, rings = _ring_reads()
+    return lambda r: rings(r)["omega_fp"][-1]
+
+
 def test_ring_reads_are_the_callers_own():
-    _inputs, out = _ring_read_fields()
-    [fp] = out["omega_fp"].orders.values()
+    fp = _fp_reader()
     for r in (np.linspace(0.0, 3.0, 5), 0.5, -0.0, np.array([[0.25, 1.0]])):
         want = fp(r).tobytes()
         fp(r)[...] = np.nan  # a write into one read reaches no other
@@ -344,8 +347,7 @@ def test_ring_reads_are_the_callers_own():
 
 
 def test_ring_reads_keep_no_array_alive():
-    _inputs, out = _ring_read_fields()
-    [fp] = out["omega_fp"].orders.values()
+    fp = _fp_reader()
     held = [weakref.ref(fp(np.array([0.01 * i, 1.0]))) for i in range(100)]
     gc.collect()
     assert not any(ref() is not None for ref in held)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vortex_twm.beams import ComplexField, Grid2D, make_grid, sample_lg, LGBeamSpec
+from vortex_twm.beams import ComplexField, Grid2D, make_grid, sample_lg, LGBeamSpec, lg_radial
 from vortex_twm import render
 from vortex_twm.render import (
     write_field_csv,
@@ -21,11 +21,16 @@ from vortex_twm.render import (
     write_phase_ppm,
     write_profile_csv,
 )
-from vortex_twm.analysis import AMPLITUDE_FLOOR, AzimuthalProfile, azimuthal_profile
+from vortex_twm.analysis import AMPLITUDE_FLOOR, DEFAULT_M, AzimuthalProfile, azimuthal_profile
 from vortex_twm.config import load_config
 from vortex_twm.runner import compute_fields
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _lg_profile(tc, radius, m=DEFAULT_M):
+    """The profile of a unit Laguerre-Gaussian beam of charge tc on the ring of that radius."""
+    return azimuthal_profile(radius, {tc: lg_radial(LGBeamSpec(1.0, tc))(radius)}, m)
 
 
 def _field_2x2(values):
@@ -160,7 +165,7 @@ def test_field_csv_round_trip_exact(tmp_path, seed):
 
 
 def test_profile_csv_round_trip(tmp_path):
-    prof = azimuthal_profile(sample_lg(LGBeamSpec(1.0, 1), make_grid(64, 3.0)), 0.7, m=32)
+    prof = _lg_profile(1, 0.7, m=32)
     p = tmp_path / "prof.csv"
     write_profile_csv(prof, p)
     lines = p.read_text().splitlines()
@@ -173,7 +178,7 @@ def test_profile_csv_round_trip(tmp_path):
 
 def test_profile_csv_keeps_each_profiles_own_thetas(tmp_path):
     # the theta column is formatted once per thetas array: same-length profiles share none
-    prof = azimuthal_profile(sample_lg(LGBeamSpec(1.0, 1), make_grid(64, 3.0)), 0.7, m=32)
+    prof = _lg_profile(1, 0.7, m=32)
     shifted = AzimuthalProfile(prof.radius, prof.thetas + 0.1, prof.intensities[::-1], prof.orders)
     for tag, want in enumerate((prof, shifted, prof)):
         path = tmp_path / f"prof{tag}.csv"
@@ -198,7 +203,7 @@ def test_metrics_csv_cells(tmp_path):
 def test_writers_byte_deterministic(tmp_path):
     g = make_grid(32, 3.0)
     f = sample_lg(LGBeamSpec(1.0, 2), g)
-    prof = azimuthal_profile(f, 1.0)
+    prof = _lg_profile(2, 1.0)
     pairs = []
     for tag in ("1", "2"):
         pgm = tmp_path / f"i{tag}.pgm"
@@ -275,7 +280,7 @@ def test_field_csv_matches_savetxt_random(tmp_path, seed):
 
 @pytest.mark.parametrize("m", [32, 720])
 def test_profile_csv_matches_savetxt(tmp_path, m):
-    prof = azimuthal_profile(sample_lg(LGBeamSpec(1.0, 2), make_grid(64, 3.0)), 0.9, m=m)
+    prof = _lg_profile(2, 0.9, m=m)
     ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
     _savetxt(ref, "theta,intensity", [prof.thetas, prof.intensities])
     write_profile_csv(prof, got)

@@ -1,14 +1,19 @@
-"""The benchmark's per-layer tracer names functions that exist.
+"""The benchmark's per-layer tracer names functions that exist and run.
 
 benchmark/spans.py wraps the functions its LAYERS table names, by module
-and attribute; a renamed function would make a traced benchmark run fail.
+and attribute; a renamed function would make a traced benchmark run fail,
+and one that a run no longer calls through that attribute would trace 0.
 """
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+from vortex_twm.config import load_config
+from vortex_twm.runner import run_config
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "benchmark" / "spans.py"
 
 
 def _spans():
@@ -38,3 +43,29 @@ def test_traced_render_writers_take_the_path_last():
             if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
         ]
         assert params[-1].name == "path", f"vortex_twm.{module_name}.{fn_name}"
+
+
+def test_a_run_calls_each_traced_analysis_step_through_its_attribute(tmp_path, monkeypatch):
+    # the tracer sees a call only where the run looks the function up as module.attribute
+    calls = {}
+    for module_name, fn_name in _spans().LAYERS:
+        if module_name not in ("analysis", "runner"):
+            continue
+        module = importlib.import_module(f"vortex_twm.{module_name}")
+        real = getattr(module, fn_name)
+
+        def counted(*args, _real=real, _key=fn_name, **kwargs):
+            calls[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn_name, counted)
+        calls[fn_name] = 0
+    run_config(load_config(ROOT / "configs" / "transfer.json"), tmp_path / "run")
+    # one brightest ring, winding, profile and metric row per output field
+    assert calls == {
+        "ring_radius": 6,
+        "winding_number": 6,
+        "azimuthal_profile": 6,
+        "field_metrics": 6,
+        "write_manifest": 1,
+    }
