@@ -5,7 +5,7 @@ coherently driven medium, the frequency-mixed fields they generate, and
 the interference observables of the resultant outputs.
 """
 from .analysis import AnalysisSpec, AzimuthalProfile, peak_angle, petal_count
-from .beams import ComplexField, Grid2D, GridSpec, LGBeamSpec, make_grid, sample_lg
+from .beams import ComplexField, GridSpec, LGBeamSpec, sample_lg
 from .config import RunConfig, default_config, load_config, parse_config
 from .errors import VortexTwmError
 from .figures import reproduce_figure, run_sweep
@@ -35,7 +35,6 @@ __all__ = [
     "ChannelState",
     "CoherencePair",
     "ComplexField",
-    "Grid2D",
     "GridSpec",
     "LGBeamSpec",
     "MediumParams",
@@ -48,7 +47,6 @@ __all__ = [
     "evolve_coherences",
     "integrate_channel_numeric",
     "load_config",
-    "make_grid",
     "output_fields",
     "parse_config",
     "peak_angle",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import Grid2D, GridSpec
+from .beams import GridSpec
 from .errors import (
     AmplitudeFloorError,
     InvalidConfigError,
@@ -169,11 +169,9 @@ def radial_max(amps: dict) -> float:
     return peak
 
 
-def scan_radii(grid: Grid2D | GridSpec) -> np.ndarray:
-    """The rings that ring_radius scans: half-pixel spacing from the axis to the grid extent."""
-    if grid.n < 2:
-        raise OutOfGridError(f"a single-sample grid (n={grid.n}) has no rings to scan")
-    step = np.diff(np.linspace(-grid.extent, grid.extent, grid.n)[:2])[0]  # make_grid's
+def scan_radii(grid: GridSpec) -> np.ndarray:
+    """The rings that ring_radius scans: half the step of grid.axis, from 0 to its extent."""
+    step = np.diff(grid.axis[:2])[0]
     return np.arange(0.0, grid.extent + 0.25 * step, 0.5 * step)
 
 

@@ -1,4 +1,4 @@
-"""Transverse grid construction and Laguerre-Gaussian beam sampling.
+"""The transverse grid (GridSpec) and Laguerre-Gaussian beam sampling.
 
 All transverse lengths are expressed in multiples of the beam waist, so a
 beam with waist 1.0 sampled on a grid of extent 3 spans three waists from
@@ -20,47 +20,17 @@ GRID_N_MAX = 4096  # one 4096^2 complex field is 256 MiB
 EPSILON_MAX = 1e100  # every product of a run at this amplitude stays finite
 
 
-@dataclass(eq=False)
-class Grid2D:
-    """Square transverse grid centered on the beam axis.
-
-    The same 1-D coordinate array is used for both axes.  The per-pixel
-    polar rasters r and theta, the only ones a grid stores, are indexed
-    [row, col] = [y index, x index] with both axes ascending; pixel (j, i)
-    lies at x = axis[i], y = axis[j].  theta = atan2(y, x) lies in
-    (-pi, pi] because the axis contains +0.0, never -0.0.
-    """
-
-    axis: np.ndarray
-    extent: float
-    r: np.ndarray = field(init=False, repr=False)
-    theta: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.axis = np.asarray(self.axis, dtype=float)
-        self.r = np.hypot(self.axis, self.axis[:, None])
-        self.theta = np.arctan2(self.axis[:, None], self.axis)
-
-    @property
-    def n(self) -> int:
-        return self.axis.size
-
-    @property
-    def step(self) -> float:
-        """Grid spacing; 0.0 for a degenerate single-sample grid."""
-        return float(self.axis[1] - self.axis[0]) if self.n > 1 else 0.0
-
-    def same_as(self, other: "Grid2D") -> bool:
-        return (
-            self.n == other.n
-            and self.extent == other.extent
-            and np.array_equal(self.axis, other.axis)
-        )
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    """The grid section of a run: n points per axis over [-extent, extent] waists."""
+    """The grid section of a run: n points per axis over [-extent, extent] waists.
+
+    It is also the transverse grid itself.  The same 1-D axis serves both
+    axes, and the polar rasters r and theta are indexed [row, col] = [y
+    index, x index], both ascending: pixel (j, i) lies at x = axis[i],
+    y = axis[j].  theta = atan2(y, x) lies in (-pi, pi] because the axis
+    holds +0.0, never -0.0.  Each array is computed afresh on each read,
+    so a spec holds only n and extent.
+    """
 
     n: int = 256
     extent: float = 3.0
@@ -76,11 +46,19 @@ class GridSpec:
         object.__setattr__(self, "n", n)  # frozen: each typed value is set once, here
         object.__setattr__(self, "extent", extent)
 
+    @property
+    def axis(self) -> np.ndarray:
+        return np.linspace(-self.extent, self.extent, self.n)
 
-def make_grid(n: int, extent: float = 3.0) -> Grid2D:
-    """Uniform symmetric n x n grid with axis endpoints at +-extent (GridSpec's rules)."""
-    spec = GridSpec(n, extent)
-    return Grid2D(axis=np.linspace(-spec.extent, spec.extent, spec.n), extent=spec.extent)
+    @property
+    def r(self) -> np.ndarray:
+        axis = self.axis
+        return np.hypot(axis, axis[:, None])
+
+    @property
+    def theta(self) -> np.ndarray:
+        axis = self.axis
+        return np.arctan2(axis[:, None], axis)
 
 
 @dataclass(frozen=True)
@@ -114,7 +92,7 @@ class ComplexField:
     rejected, so peak is finite.
     """
 
-    grid: Grid2D
+    grid: GridSpec
     values: np.ndarray
     peak: float = field(init=False)
 
@@ -146,7 +124,7 @@ def lg_radial(spec: LGBeamSpec) -> Callable[[np.ndarray], np.ndarray]:
     return partial(_lg, spec, theta=0.0)
 
 
-def sample_lg(spec: LGBeamSpec, grid: Grid2D) -> ComplexField:
+def sample_lg(spec: LGBeamSpec, grid: GridSpec) -> ComplexField:
     """Sample eps * (r/w)^|l| * exp(-(r/w)^2) * exp(i*l*theta) on the grid.
 
     The r = 0 pixel is evaluated exactly: 0**0 == 1 gives eps for l = 0,

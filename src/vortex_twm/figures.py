@@ -165,9 +165,9 @@ def _sweep_cells(cfg: RunConfig, param: str, values) -> list[tuple[str, RunConfi
 def _sweep(cfg: RunConfig, param: str, values, out_dir, payload, columns, rows_of):
     """Run cfg across the values of param, cells in parallel, into out_dir/<label>.
 
-    If cfg writes PAINTED products, the grid and each input beam that is the same in
-    every cell are sampled once, before the cells run, and a cell samples only its own
-    beams; otherwise nothing is.  The top metrics.csv holds rows_of(analyse result) of
+    If cfg writes PAINTED products, each input beam that is the same in every cell is
+    sampled once, before the cells run, and a cell samples only its own beams;
+    otherwise nothing is.  The top metrics.csv holds rows_of(analyse result) of
     each cell, led by its value; the manifest lists it and every cell file, reusing
     the size and digest that the cell's own manifest recorded.
     """

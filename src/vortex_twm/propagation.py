@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import ComplexField
+from .beams import ComplexField, GridSpec
 from .errors import GridMismatchError, InvalidConfigError, StepCountError
 from .medium import MediumParams, _checked_y, beta_factor, rk4_power, steady_coherences
 
@@ -180,11 +180,11 @@ def integrate_channel_numeric(
     return ChannelState(primary=m[..., 0, 0] * u, generated=m[..., 1, 0] * u, z=p.length)
 
 
-def _shared_grid(*fields: ComplexField):
+def _shared_grid(*fields: ComplexField) -> GridSpec:
+    """The grid of fields, which must all lie on equal specs (the same n and extent)."""
     grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid is not grid and not f.grid.same_as(grid):
-            raise GridMismatchError("control and probe fields must share one grid")
+    if any(f.grid != grid for f in fields[1:]):
+        raise GridMismatchError("control and probe fields must share one grid")
     return grid
 
 

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 from . import analysis, render
-from .beams import ComplexField, Grid2D, LGBeamSpec, lg_radial, make_grid, sample_lg
+from .beams import ComplexField, LGBeamSpec, lg_radial, sample_lg
 from .config import RunConfig, config_to_dict
 from .errors import GridMismatchError, NonFiniteFieldError, VortexTwmError
 from .propagation import output_fields, output_rings
@@ -51,41 +51,37 @@ def _beam_key(spec: LGBeamSpec) -> tuple:
     return spec.epsilon.hex(), spec.tc, spec.waist.hex()
 
 
-def shared_inputs(cfgs) -> tuple[Grid2D, dict]:
-    """The grid of cfgs and a sample on it of each input beam they all have.
+def shared_inputs(cfgs) -> dict:
+    """A sample of each input beam that cfgs all have, keyed by beam, on their grid.
 
-    cfgs share one grid section, as the cells of a sweep do.  The samples
-    are keyed by beam; a beam that differs between the configs is not
-    sampled here, so this holds no sample per config.
+    cfgs share one grid section, as the cells of a sweep do.  A beam that
+    differs between the configs is not sampled here, so this holds no
+    sample per config.
     """
-    grid_spec = cfgs[0].grid
-    if any(cfg.grid != grid_spec for cfg in cfgs):
+    grid = cfgs[0].grid
+    if any(cfg.grid != grid for cfg in cfgs):
         raise GridMismatchError("configs sharing their inputs must share one grid")
-    grid = make_grid(grid_spec.n, grid_spec.extent)
     keyed = [{_beam_key(b): b for b in _beams(cfg)} for cfg in cfgs]
     common = set(keyed[0]).intersection(*keyed[1:])
-    return grid, {key: sample_lg(b, grid) for key, b in keyed[0].items() if key in common}
+    return {key: sample_lg(b, grid) for key, b in keyed[0].items() if key in common}
 
 
-def compute_fields(
-    cfg: RunConfig, shared: tuple[Grid2D, dict] | None = None
-) -> dict[str, ComplexField]:
-    """Sample inputs, propagate, and return the six named output fields.
+def compute_fields(cfg: RunConfig, shared: dict | None = None) -> dict[str, ComplexField]:
+    """Sample inputs on cfg.grid, propagate, and return the six named output fields.
 
     Each distinct input beam is sampled once; probe_p and probe_s are
     often the same beam.  shared, the shared_inputs of configs that
-    include cfg, gives the grid and the beams that those configs all
-    have, and only the rest of cfg's beams are sampled here.  The fields
-    are byte for byte the same either way.
+    include cfg, gives the beams that those configs all have, each of
+    which must lie on cfg.grid, and only the rest of cfg's beams are
+    sampled here.  The fields are byte for byte the same either way.
     """
-    grid, samples = shared_inputs([cfg]) if shared is None else shared
-    if (grid.n, grid.extent) != (cfg.grid.n, cfg.grid.extent):
+    samples = dict(shared_inputs([cfg]) if shared is None else shared)
+    if any(sample.grid != cfg.grid for sample in samples.values()):
         raise GridMismatchError(f"shared inputs lie on another grid than {cfg.grid}")
-    samples = dict(samples)
     for beam in _beams(cfg):
         key = _beam_key(beam)
         if key not in samples:
-            samples[key] = sample_lg(beam, grid)
+            samples[key] = sample_lg(beam, cfg.grid)
     return output_fields(cfg.medium, *(samples[_beam_key(b)] for b in _beams(cfg)))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import LGBeamSpec, make_grid, sample_lg
+from .beams import GridSpec, LGBeamSpec, sample_lg
 from .errors import InvalidConfigError, VerificationError
 from .figures import CRESCENT_DEPTH, _interference_base
 from .medium import (
@@ -65,7 +65,7 @@ def channel_oracle_error(n: int, steps: int) -> float:
     ]
     worst = 0.0
     for params, lc, lp, cell_n, cell_steps in cells:
-        grid = make_grid(cell_n, 3.0)
+        grid = GridSpec(cell_n, 3.0)
         control = sample_lg(LGBeamSpec(epsilon=4.0, tc=lc), grid).values
         b0 = sample_lg(LGBeamSpec(epsilon=0.005, tc=lp), grid).values
         for channel, solver in (("s", solve_channel_s), ("p", solve_channel_p)):

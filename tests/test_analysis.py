@@ -18,7 +18,7 @@ from vortex_twm.analysis import (
     scan_radii,
     winding_number,
 )
-from vortex_twm.beams import Grid2D, GridSpec, LGBeamSpec, lg_radial, make_grid
+from vortex_twm.beams import GridSpec, LGBeamSpec, lg_radial
 from vortex_twm.errors import (
     AmplitudeFloorError,
     InvalidConfigError,
@@ -28,7 +28,7 @@ from vortex_twm.errors import (
 )
 from vortex_twm.runner import field_metrics
 
-GRID = make_grid(257, 3.0)
+GRID = GridSpec(257, 3.0)
 
 
 def _lg(tc, epsilon=1.0, waist=1.0):
@@ -101,7 +101,7 @@ def test_conjugation_flips_winding():
 def test_winding_coarse_sampling_still_exact():
     # a 16-point grid scans few rings; the amplitudes are still exact
     for tc in (-2, 2, 5):
-        assert _winding(_lg(tc), grid=make_grid(16, 3.0)) == tc
+        assert _winding(_lg(tc), grid=GridSpec(16, 3.0)) == tc
 
 
 @given(
@@ -113,7 +113,7 @@ def test_winding_scale_invariant(mag, phase):
     [radial] = _lg(2).values()
     scale = mag * np.exp(1j * phase)
     scaled = {2: lambda r: scale * radial(r)}
-    assert _winding(scaled, radius=1.0, grid=make_grid(65, 3.0)) == 2
+    assert _winding(scaled, radius=1.0, grid=GridSpec(65, 3.0)) == 2
 
 
 def test_winding_amplitude_floor_on_nulled_ring():
@@ -218,20 +218,20 @@ def test_peak_angle_needs_structure():
 
 def test_ring_radius_gaussian_peaks_on_axis():
     for n in (64, 257):
-        assert _ring(_lg(0), make_grid(n, 3.0)) == 0.0
+        assert _ring(_lg(0), GridSpec(n, 3.0)) == 0.0
 
 
 @pytest.mark.parametrize("tc", [1, 2, 3])
 def test_ring_radius_lg_law(tc):
-    g = make_grid(513, 3.0)
+    g = GridSpec(513, 3.0)
     r = _ring(_lg(tc), g)
-    assert abs(r - np.sqrt(tc / 2.0)) <= 0.5 * g.step
+    assert abs(r - np.sqrt(tc / 2.0)) <= 0.5 * (g.axis[1] - g.axis[0])
 
 
 def test_ring_radius_waist_scales():
-    g = make_grid(513, 3.0)
+    g = GridSpec(513, 3.0)
     r = _ring(_lg(2, waist=1.4), g)
-    assert abs(r - 1.4 * np.sqrt(1.0)) <= 0.5 * g.step
+    assert abs(r - 1.4 * np.sqrt(1.0)) <= 0.5 * (g.axis[1] - g.axis[0])
 
 
 def test_ring_radius_zero_field():
@@ -239,22 +239,14 @@ def test_ring_radius_zero_field():
         _ring({0: _constant(0.0)})
 
 
-def test_single_sample_grid_has_no_ring_to_scan():
-    # Grid2D admits one sample per axis (make_grid does not); its scan step is 0
-    g = Grid2D(axis=np.array([0.0]), extent=0.0)
-    for read in (_ring, lambda orders, grid: _winding(orders, grid=grid)):
-        with pytest.raises(OutOfGridError, match="single-sample grid"):
-            read({0: _constant(1.0)}, grid=g)
-
-
 @pytest.mark.parametrize("n", [2, 257, 1000])
 @pytest.mark.parametrize("extent", [0.5, 3.0, 7.25])
 def test_a_grid_spec_scans_the_rings_of_its_grid(n, extent):
-    # a run's analysis scans its GridSpec, the rings of the grid that make_grid would build
-    grid = make_grid(n, extent)
-    want = np.arange(0.0, grid.extent + 0.25 * grid.step, 0.5 * grid.step)
-    for scanned in (analysis.scan_radii(GridSpec(n, extent)), analysis.scan_radii(grid)):
-        assert scanned.tobytes() == want.tobytes()
+    # half-pixel rings from the axis to the extent, at the step of the grid's own axis
+    grid = GridSpec(n, extent)
+    step = float(grid.axis[1] - grid.axis[0])
+    want = np.arange(0.0, grid.extent + 0.25 * step, 0.5 * step)
+    assert analysis.scan_radii(grid).tobytes() == want.tobytes()
 
 
 def test_winding_radius_default_matches_explicit():
@@ -266,7 +258,7 @@ def test_winding_radius_default_matches_explicit():
 @pytest.mark.parametrize("tc", [1, 3])
 def test_ring_uniform_lg_has_no_petals(n, tc):
     f = _lg(tc)
-    for radius in (_ring(f, make_grid(n, 3.0)), 0.5, 1.7):
+    for radius in (_ring(f, GridSpec(n, 3.0)), 0.5, 1.7):
         prof = azimuthal_profile(radius, _read(f, radius), DEFAULT_M)
         assert petal_count(prof) == 0
         with pytest.raises(StructurelessProfileError):
@@ -306,13 +298,14 @@ def test_parseval_ring_mean_is_the_sampled_mean(amps):
 @settings(max_examples=60, deadline=None)
 def test_ring_radius_is_the_brightest_sampled_ring(amps, centres):
     # each order is a gaussian band around its own radius, so the brightest ring moves
-    g = make_grid(33, 3.0)
+    g = GridSpec(33, 3.0)
 
     def band(a, centre):
         return lambda r: a * np.exp(-((r - centre) ** 2))
 
     orders = {k: band(a, c) for (k, a), c in zip(amps.items(), centres)}
-    radii = np.arange(0.0, g.extent + 0.25 * g.step, 0.5 * g.step)
+    step = float(g.axis[1] - g.axis[0])
+    radii = np.arange(0.0, g.extent + 0.25 * step, 0.5 * step)
     thetas = 2.0 * np.pi * np.arange(4096) / 4096
     rings = sum(R(radii)[:, None] * np.exp(1j * k * thetas) for k, R in orders.items())
     sampled = np.mean(np.abs(rings) ** 2, axis=1)

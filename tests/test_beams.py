@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from vortex_twm.beams import (
     ComplexField,
-    Grid2D,
+    GridSpec,
     LGBeamSpec,
     _lg,
     lg_radial,
-    make_grid,
     sample_lg,
 )
 from vortex_twm.config import load_config
@@ -20,14 +19,15 @@ from vortex_twm.errors import InvalidConfigError
 from vortex_twm.runner import compute_fields
 
 
+# test_make_grid_*: making a grid is building a GridSpec and reading its arrays
 def test_make_grid_small_axis():
-    g = make_grid(3, 1.0)
+    g = GridSpec(3, 1.0)
     assert np.array_equal(g.axis, [-1.0, 0.0, 1.0])
-    assert g.step == 1.0
+    assert g.axis[1] - g.axis[0] == 1.0
 
 
 def test_make_grid_default_production():
-    g = make_grid(256, 3.0)
+    g = GridSpec(256, 3.0)
     assert g.n == 256
     assert g.axis[0] == -3.0 and g.axis[-1] == 3.0
     # symmetric about zero
@@ -37,17 +37,17 @@ def test_make_grid_default_production():
 @pytest.mark.parametrize("bad", [1, 0, -4, 2.5, True])
 def test_make_grid_rejects_bad_n(bad):
     with pytest.raises(InvalidConfigError):
-        make_grid(bad)
+        GridSpec(bad)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
 def test_make_grid_rejects_bad_extent(bad):
     with pytest.raises(InvalidConfigError):
-        make_grid(64, bad)
+        GridSpec(64, bad)
 
 
 def test_theta_range_and_orientation():
-    g = make_grid(65, 2.0)
+    g = GridSpec(65, 2.0)
     assert g.theta.max() <= np.pi
     assert g.theta.min() > -np.pi
     c = g.n // 2
@@ -57,7 +57,7 @@ def test_theta_range_and_orientation():
 
 
 def test_lg_on_axis_values():
-    g = make_grid(65, 2.0)  # odd n puts a node exactly at r = 0
+    g = GridSpec(65, 2.0)  # odd n puts a node exactly at r = 0
     c = g.n // 2
     flat = sample_lg(LGBeamSpec(1.0, 0), g)
     assert flat.values[c, c] == 1.0 + 0.0j
@@ -67,7 +67,7 @@ def test_lg_on_axis_values():
 
 def test_lg_hand_value():
     # l=2 at r=w on the +y axis: e^{-1} e^{2i(pi/2)} = -e^{-1}
-    g = make_grid(257, 2.0)
+    g = GridSpec(257, 2.0)
     f = sample_lg(LGBeamSpec(1.0, 2), g)
     c = g.n // 2
     j = c + 64  # y = 1.0 exactly (step = 4/256)
@@ -77,7 +77,7 @@ def test_lg_hand_value():
 
 
 def test_lg_waist_rescales_radius():
-    g = make_grid(129, 3.0)
+    g = GridSpec(129, 3.0)
     wide = sample_lg(LGBeamSpec(1.0, 1, waist=2.0), g)
     narrow = sample_lg(LGBeamSpec(1.0, 1, waist=1.0), g)
     # same profile sampled at r/w: value of wide at 2r equals narrow at r
@@ -88,7 +88,7 @@ def test_lg_waist_rescales_radius():
 
 @pytest.mark.parametrize("l", [-3, -1, 0, 2, 5])
 def test_conjugation_flips_charge(l):
-    g = make_grid(64, 3.0)
+    g = GridSpec(64, 3.0)
     plus = sample_lg(LGBeamSpec(0.7, l), g)
     minus = sample_lg(LGBeamSpec(0.7, -l), g)
     assert np.array_equal(minus.values, np.conj(plus.values))
@@ -100,7 +100,7 @@ def test_conjugation_flips_charge(l):
 )
 @settings(max_examples=40, deadline=None)
 def test_amplitude_scaling_property(l, c):
-    g = make_grid(32, 3.0)
+    g = GridSpec(32, 3.0)
     base = sample_lg(LGBeamSpec(1.0, l), g)
     scaled = sample_lg(LGBeamSpec(c, l), g)
     assert np.array_equal(scaled.values, c * base.values)
@@ -113,7 +113,7 @@ def test_magnitude_azimuthally_symmetric(l):
     # and the y-flip hits identical (r, |theta|) pairs: |value| matches
     # bitwise there.  The other orbit ops re-evaluate the trig at a shifted
     # angle and may move the last bit.
-    g = make_grid(33, 3.0)
+    g = GridSpec(33, 3.0)
     mag = np.abs(sample_lg(LGBeamSpec(1.0, l), g).values)
     assert np.array_equal(mag, mag[::-1, :])
     for other in (mag[:, ::-1], mag.T):
@@ -121,11 +121,11 @@ def test_magnitude_azimuthally_symmetric(l):
 
 
 def test_peak_ring_radius_matches_charge():
-    g = make_grid(513, 3.0)
+    g = GridSpec(513, 3.0)
     for l in (1, 2, 3, 4):
         mag = np.abs(sample_lg(LGBeamSpec(1.0, l), g).values)
         peak_r = g.r.ravel()[np.argmax(mag.ravel())]
-        assert abs(peak_r - np.sqrt(l / 2.0)) < g.step
+        assert abs(peak_r - np.sqrt(l / 2.0)) < g.axis[1] - g.axis[0]
 
 
 def test_beam_spec_validation():
@@ -138,7 +138,7 @@ def test_beam_spec_validation():
 
 
 def test_complex_field_validation():
-    g = make_grid(8, 1.0)
+    g = GridSpec(8, 1.0)
     with pytest.raises(InvalidConfigError):
         ComplexField(g, np.zeros((4, 4), dtype=complex))
     bad = np.zeros((8, 8), dtype=complex)
@@ -157,15 +157,15 @@ def test_complex_field_rejects_a_non_finite_amplitude(bad):
     values = np.ones((8, 8), dtype=complex)
     values[2, 5] = bad
     with pytest.raises(InvalidConfigError, match="^field contains non-finite values$"):
-        ComplexField(make_grid(8, 1.0), values)
+        ComplexField(GridSpec(8, 1.0), values)
     values[2, 5] = complex(1e308, 1e308)  # both parts near the float limit, modulus finite
-    assert ComplexField(make_grid(8, 1.0), values).peak == abs(complex(1e308, 1e308))
+    assert ComplexField(GridSpec(8, 1.0), values).peak == abs(complex(1e308, 1e308))
 
 
 @pytest.mark.parametrize("n", [2, 3, 16, 256, 257, 1024])
 @pytest.mark.parametrize("extent", [0.5, 3.0, 7.25])
 def test_grid_polar_rasters_match_meshgrid(n, extent):
-    g = make_grid(n, extent)
+    g = GridSpec(n, extent)
     x, y = np.meshgrid(g.axis, g.axis)
     assert g.r.shape == g.theta.shape == (n, n)
     assert g.r.tobytes() == np.hypot(x, y).tobytes()  # bitwise, signed zeros included
@@ -174,15 +174,16 @@ def test_grid_polar_rasters_match_meshgrid(n, extent):
 
 def test_make_grid_builds_only_its_two_rasters():
     n = 512
+    g = GridSpec(n, 3.0)
     tracemalloc.start()
     try:
-        g = make_grid(n, 3.0)
+        r, theta = g.r, g.theta
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     raster = n * n * 8
-    assert g.r.nbytes == g.theta.nbytes == raster
-    assert peak <= 2.5 * raster, f"make_grid peaked at {peak / raster:.2f} rasters"
+    assert r.nbytes == theta.nbytes == raster
+    assert peak <= 2.5 * raster, f"reading r and theta peaked at {peak / raster:.2f} rasters"
 
 
 def test_a_narrow_high_charge_beam_overflows_into_one_error():
@@ -191,26 +192,11 @@ def test_a_narrow_high_charge_beam_overflows_into_one_error():
     with pytest.raises(InvalidConfigError, match="^field contains non-finite values$"):
         _lg(LGBeamSpec(0.005, 130, 0.01), 2.9, theta=0.0)
     with pytest.raises(InvalidConfigError, match="^field contains non-finite values$"):
-        sample_lg(LGBeamSpec(4.0, 120, 0.01), make_grid(1024, 3.0))
+        sample_lg(LGBeamSpec(4.0, 120, 0.01), GridSpec(1024, 3.0))
     # the array read of the same radial part is non-finite, without a RuntimeWarning
     assert np.isnan(lg_radial(LGBeamSpec(0.005, 130, 0.01))(np.array([2.9]))).all()
     # below the overflow the beam is exactly 0 there
     assert lg_radial(LGBeamSpec(0.005, 130, 0.01))(2.0) == 0.0
-
-
-def test_grid_same_as():
-    a = make_grid(16, 2.0)
-    b = make_grid(16, 2.0)
-    c = make_grid(16, 3.0)
-    assert a.same_as(b) and b.same_as(a)
-    assert not a.same_as(c)
-
-
-def test_degenerate_grid_constructible_directly():
-    # single-sample grids are rejected by make_grid but remain representable
-    # (render round-trip tests use them)
-    g = Grid2D(axis=np.array([0.0]), extent=0.0)
-    assert g.n == 1 and g.step == 0.0
 
 
 def test_peak_is_the_largest_amplitude_of_each_output():

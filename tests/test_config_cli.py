@@ -25,7 +25,7 @@ from vortex_twm.analysis import (
     scan_radii,
     winding_number,
 )
-from vortex_twm.beams import EPSILON_MAX, LGBeamSpec, lg_radial, make_grid
+from vortex_twm.beams import EPSILON_MAX, LGBeamSpec, lg_radial
 from vortex_twm._parallel import map_items
 from vortex_twm.config import (
     AnalysisSpec,
@@ -246,10 +246,10 @@ def test_python_config_round_trips_and_its_echo_is_a_fixed_point(cfg):
 @pytest.mark.parametrize(
     "section, value, library",
     [
-        ("grid", {"n": 1, "extent": 3.0}, lambda extent: make_grid(1, extent)),
-        ("grid", {"n": 4097, "extent": 3.0}, lambda extent: make_grid(4097, extent)),
-        ("grid", {"n": 32, "extent": -1.0}, lambda extent: make_grid(32, -1.0)),
-        ("grid", {"n": 32, "extent": float("nan")}, lambda extent: make_grid(32, float("nan"))),
+        ("grid", {"n": 1, "extent": 3.0}, lambda extent: GridSpec(1, extent)),
+        ("grid", {"n": 4097, "extent": 3.0}, lambda extent: GridSpec(4097, extent)),
+        ("grid", {"n": 32, "extent": -1.0}, lambda extent: GridSpec(32, -1.0)),
+        ("grid", {"n": 32, "extent": float("nan")}, lambda extent: GridSpec(32, float("nan"))),
         ("analysis", {"radius": "auto", "m": 15}, lambda extent: AnalysisSpec(m=15)),
         ("analysis", {"radius": "auto", "m": 65537}, lambda extent: AnalysisSpec(m=65537)),
         ("analysis", {"radius": 3.5, "m": 720}, lambda extent: check_radius(3.5, extent)),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vortex_twm import analysis, cli, figures, propagation, runner
-from vortex_twm.beams import lg_radial, make_grid, sample_lg
+from vortex_twm.beams import lg_radial, sample_lg
 from vortex_twm.config import load_config, parse_config
 from vortex_twm.errors import GridMismatchError, InvalidConfigError
 from vortex_twm.figures import (
@@ -329,25 +329,24 @@ def _counting(monkeypatch, module, *names) -> dict:
 
 
 def test_sweeps_sample_each_shared_grid_and_beam_once(tmp_path, monkeypatch):
-    calls = _counting(monkeypatch, runner, "make_grid", "sample_lg")
+    calls = _counting(monkeypatch, runner, "sample_lg")
     # fig4: 7 cells of one control and one probe beam; fig3: 3 controls, one probe
     for fig, samples in (("fig4", 2), ("fig3", 4)):
         reproduce_figure(fig, tmp_path / fig)
-        assert (len(calls["make_grid"]), len(calls["sample_lg"])) == (1, samples), fig
-        for made in calls.values():
-            made.clear()
+        assert len(calls["sample_lg"]) == samples, fig
+        calls["sample_lg"].clear()
     cfg = load_config(CONFIGS / "interference.json")
     assert cfg.probe_p == cfg.probe_s
     compute_fields(cfg)
-    assert (len(calls["make_grid"]), len(calls["sample_lg"])) == (1, 2)
+    assert len(calls["sample_lg"]) == 2
 
 
 def test_a_sweep_shares_only_the_beams_of_every_cell(tmp_path, monkeypatch):
     cfg = _base_config(n=64, extent=3.0)
-    samples = _counting(monkeypatch, runner, "make_grid", "sample_lg")
+    samples = _counting(monkeypatch, runner, "sample_lg")
     run_sweep(cfg, "lc", [1, 2, 3, 4, 5], tmp_path / "metrics")
     # a sweep that paints no field samples nothing
-    assert samples == {"make_grid": [], "sample_lg": []}
+    assert samples == {"sample_lg": []}
     samples = samples["sample_lg"]
     shared = []
     real = runner.compute_fields
@@ -355,12 +354,12 @@ def test_a_sweep_shares_only_the_beams_of_every_cell(tmp_path, monkeypatch):
     run_sweep(replace(cfg, outputs=("images",)), "lc", [1, 2, 3, 4, 5], tmp_path / "sweep")
     # the probes, sampled once before the cells ran; each cell samples its own control
     assert len(shared) == 5 and all(s is shared[0] for s in shared)
-    assert list(shared[0][1]) == [runner._beam_key(cfg.probe_p)]
+    assert list(shared[0]) == [runner._beam_key(cfg.probe_p)]
     assert samples[0][0] == cfg.probe_p
     assert sorted(spec.tc for spec, _grid in samples[1:]) == [1, 2, 3, 4, 5]
 
 
-RASTER_MAKERS = ("make_grid", "sample_lg", "output_fields")
+RASTER_MAKERS = ("sample_lg", "output_fields")
 
 
 @pytest.mark.parametrize(
@@ -373,7 +372,7 @@ def test_a_run_paints_the_fields_only_for_fields_or_images(
 ):
     calls = _counting(monkeypatch, runner, *RASTER_MAKERS)
     run_config(replace(load_config(CONFIGS / "transfer.json"), outputs=outputs), tmp_path / "run")
-    assert [len(calls[name]) for name in RASTER_MAKERS] == ([1, 2, 1] if painted else [0, 0, 0])
+    assert [len(calls[name]) for name in RASTER_MAKERS] == ([2, 1] if painted else [0, 0])
 
 
 def test_fig5_paints_no_field(tmp_path, monkeypatch):
@@ -442,9 +441,8 @@ def test_probes_of_opposite_zero_signs_keep_their_own_samples(tmp_path, monkeypa
     assert cli.main(["fields", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
     cfg = load_config(path)
     assert cfg.probe_p == cfg.probe_s and math.copysign(1.0, cfg.probe_s.epsilon) < 0
-    grid = make_grid(cfg.grid.n, cfg.grid.extent)
     beams = (cfg.control, cfg.probe_p, cfg.probe_s)
-    fields = output_fields(cfg.medium, *(sample_lg(beam, grid) for beam in beams))
+    fields = output_fields(cfg.medium, *(sample_lg(beam, cfg.grid) for beam in beams))
     monkeypatch.setattr(runner, "compute_fields", lambda c, s: fields)
     write_products(cfg, tmp_path / "alone", analyse(cfg), None)
     run = _tree_bytes(tmp_path / "run")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vortex_twm import medium, propagation, verify
-from vortex_twm.beams import LGBeamSpec, lg_radial, make_grid, sample_lg
+from vortex_twm.beams import LGBeamSpec, lg_radial, sample_lg
 from vortex_twm.config import GridSpec, RunConfig
 from vortex_twm.errors import (
     DegenerateMediumError,
@@ -140,7 +140,7 @@ def test_numeric_oracle_is_stepwise_rk4(channel, steps):
     # the powered one-step matrix must reproduce the step-by-step scheme,
     # for odd and even exponents, pixel arrays and scalars alike
     p = MediumParams(1.0, 0.11, -4.0, 55.0)
-    grid = make_grid(16, 3.0)
+    grid = GridSpec(16, 3.0)
     cases = [
         (2.5 * np.exp(0.4j), 0.005 * np.exp(-1.1j)),
         (sample_lg(LGBeamSpec(4.0, 1), grid).values, sample_lg(LGBeamSpec(0.005, 0), grid).values),
@@ -239,7 +239,7 @@ def test_winding_arithmetic_of_generated_fields():
 
 
 def test_output_fields_zero_control_passthrough():
-    g = make_grid(32, 3.0)
+    g = GridSpec(32, 3.0)
     dark, spec_p, spec_s = LGBeamSpec(0.0, 0), LGBeamSpec(0.004, 1), LGBeamSpec(0.003, 0)
     probe_p, probe_s = sample_lg(spec_p, g), sample_lg(spec_s, g)
 
@@ -263,7 +263,7 @@ def _order_sum(amps, grid):
 def test_values_are_the_closed_form_on_the_grid(n):
     # the painted values are output_rings' order sum at grid.r, to rounding; the
     # last two charge sets make orders coincide (lp = ls - lc and ls = lc + lp)
-    g = make_grid(n, 3.0)
+    g = GridSpec(n, 3.0)
     p = MediumParams(1.0, 0.05, 1.5, 8.0)
     for lc, lp, ls in ((2, 1, 0), (-2, -1, 1), (-3, 2, -1), (1, 0, 1), (-1, 1, 0)):
         specs = dict(zip(("control", "probe_p", "probe_s"), (
@@ -288,7 +288,7 @@ def test_values_are_the_closed_form_on_the_grid(n):
 
 
 def test_output_fields_composition_identities():
-    g = make_grid(48, 3.0)
+    g = GridSpec(48, 3.0)
     ctrl = sample_lg(LGBeamSpec(4.0, 1), g)
     probe_p = sample_lg(LGBeamSpec(0.005, 1), g)
     probe_s = sample_lg(LGBeamSpec(0.005, 0), g)
@@ -299,12 +299,17 @@ def test_output_fields_composition_identities():
 
 
 def test_output_fields_grid_mismatch():
-    g1, g2 = make_grid(16, 3.0), make_grid(24, 3.0)
+    g1, g2 = GridSpec(16, 3.0), GridSpec(24, 3.0)
     ctrl = sample_lg(LGBeamSpec(4.0, 1), g1)
     pp = sample_lg(LGBeamSpec(0.005, 0), g2)
     ps = sample_lg(LGBeamSpec(0.005, 0), g1)
     with pytest.raises(GridMismatchError):
         output_fields(CANON, ctrl, pp, ps)
+    # fields on two distinct but equal specs lie on one grid
+    twin = GridSpec(16, 3.0)
+    assert twin is not g1 and twin == g1
+    out = output_fields(CANON, ctrl, sample_lg(LGBeamSpec(0.005, 0), twin), ps)
+    assert all(f.grid == g1 for f in out.values())
 
 
 def _ring_reads():
@@ -354,7 +359,7 @@ def test_ring_reads_keep_no_array_alive():
 
 
 def test_probe_scaling_scales_outputs():
-    g = make_grid(24, 3.0)
+    g = GridSpec(24, 3.0)
     ctrl = sample_lg(LGBeamSpec(4.0, 1), g)
     pp1 = sample_lg(LGBeamSpec(0.002, 1), g)
     ps1 = sample_lg(LGBeamSpec(0.003, 0), g)
@@ -455,8 +460,7 @@ def _preset_controls():
     for fig, values in (("fig3", (1, 2, 3)), ("fig4", (-9.0, 9.0)), ("fig6", (4,))):
         base, param = _FIGURES[fig][:2]
         for label, cfg in _sweep_cells(base, param, values):
-            grid = make_grid(cfg.grid.n, cfg.grid.extent)
-            cases.append((f"{fig}-{label}", cfg.medium, sample_lg(cfg.control, grid).values))
+            cases.append((f"{fig}-{label}", cfg.medium, sample_lg(cfg.control, cfg.grid).values))
     return cases
 
 
@@ -513,7 +517,7 @@ def test_fig4_control_is_evaluated_once_per_distinct_magnitude(monkeypatch):
 
 def test_channel_factors_hold_few_rasters():
     n = 512
-    control = sample_lg(LGBeamSpec(4.0, 1), make_grid(n, 3.0)).values
+    control = sample_lg(LGBeamSpec(4.0, 1), GridSpec(n, 3.0)).values
     tracemalloc.start()
     try:
         propagation._channel_factors(CANON, control, CANON.length)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vortex_twm.beams import ComplexField, Grid2D, make_grid, sample_lg, LGBeamSpec, lg_radial
+from vortex_twm.beams import ComplexField, GridSpec, sample_lg, LGBeamSpec, lg_radial
 from vortex_twm import render
 from vortex_twm.render import (
     write_field_csv,
@@ -34,7 +34,7 @@ def _lg_profile(tc, radius, m=DEFAULT_M):
 
 
 def _field_2x2(values):
-    g = make_grid(2, 1.0)
+    g = GridSpec(2, 1.0)
     return ComplexField(g, np.asarray(values, dtype=complex))
 
 
@@ -68,7 +68,7 @@ def test_pgm_quantization_levels(tmp_path):
 
 
 def test_pgm_row_order_top_is_max_y(tmp_path):
-    g = make_grid(3, 1.0)
+    g = GridSpec(3, 1.0)
     vals = np.zeros((3, 3))
     vals[2, 0] = 1.0  # grid row 2 = y maximum
     f = ComplexField(g, vals)
@@ -112,7 +112,7 @@ def test_ppm_floor_pixels_black(tmp_path):
 
 
 def test_ppm_vortex_hue_winds(tmp_path):
-    g = make_grid(65, 3.0)
+    g = GridSpec(65, 3.0)
     f = sample_lg(LGBeamSpec(1.0, 1), g)
     p = tmp_path / "h.ppm"
     write_phase_ppm(f, p)
@@ -128,16 +128,22 @@ def test_ppm_vortex_hue_winds(tmp_path):
     assert len({tuple(c) for c in ring}) == 8
 
 
-def test_field_csv_single_pixel(tmp_path):
-    g = Grid2D(axis=np.array([0.0]), extent=0.0)
-    f = ComplexField(g, np.array([[1.0 + 2.0j]]))
-    p = tmp_path / "one.csv"
+def test_field_csv_two_by_two(tmp_path):
+    # the smallest grid: rows y outer, x inner, both ascending; every value %.17g
+    f = _field_2x2([[1.0 + 2.0j, 0.5 - 0.25j], [complex(-3.0, -0.0), 0.1 + 1e-20j]])
+    p = tmp_path / "two.csv"
     write_field_csv(f, p)
-    assert p.read_text() == "x,y,re,im\n0,0,1,2\n"
+    assert p.read_text() == (
+        "x,y,re,im\n"
+        "-1,-1,1,2\n"
+        "1,-1,0.5,-0.25\n"
+        "-1,1,-3,-0\n"
+        "1,1,0.10000000000000001,9.9999999999999995e-21\n"
+    )
 
 
 def test_field_csv_line_count(tmp_path):
-    g = make_grid(256, 3.0)
+    g = GridSpec(256, 3.0)
     f = ComplexField(g, np.zeros((256, 256)))
     p = tmp_path / "big.csv"
     write_field_csv(f, p)
@@ -152,7 +158,7 @@ def test_field_csv_line_count(tmp_path):
 )
 def test_field_csv_round_trip_exact(tmp_path, seed):
     rng = np.random.default_rng(seed)
-    g = make_grid(8, 2.0)
+    g = GridSpec(8, 2.0)
     vals = rng.normal(size=(8, 8)) * 10.0 ** rng.integers(-12, 12) + 1j * rng.normal(size=(8, 8))
     f = ComplexField(g, vals)
     p = tmp_path / f"rt{seed}.csv"
@@ -201,7 +207,7 @@ def test_metrics_csv_cells(tmp_path):
 
 
 def test_writers_byte_deterministic(tmp_path):
-    g = make_grid(32, 3.0)
+    g = GridSpec(32, 3.0)
     f = sample_lg(LGBeamSpec(1.0, 2), g)
     prof = _lg_profile(2, 1.0)
     pairs = []
@@ -239,9 +245,9 @@ def _assert_field_matches_oracle(f, tmp_path, tag=""):
 EDGE_VALUES = [-0.0, 5e-324, 1e300, -1e300, 1.0, -7.0, 2.0**53, 0.1]
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 257])
+@pytest.mark.parametrize("n", [2, 8, 257])
 def test_field_csv_matches_savetxt(tmp_path, n):
-    g = Grid2D(axis=np.array([0.0]), extent=0.0) if n == 1 else make_grid(n, 3.0)
+    g = GridSpec(n, 3.0)
     rng = np.random.default_rng(n)
     flat = rng.normal(size=2 * n * n) * 10.0 ** rng.integers(-20, 20, size=2 * n * n)
     k = min(len(EDGE_VALUES), flat.size)
@@ -252,7 +258,7 @@ def test_field_csv_matches_savetxt(tmp_path, n):
 
 
 def test_field_csv_real_array_matches_savetxt(tmp_path):
-    g = make_grid(8, 2.0)
+    g = GridSpec(8, 2.0)
     vals = np.arange(64, dtype=np.float64).reshape(8, 8) - 31.5
     vals[0, 0] = -0.0
     _assert_field_matches_oracle(ComplexField(g, vals), tmp_path)
@@ -273,7 +279,7 @@ def test_field_csv_transfer_products_match_savetxt(tmp_path):
 )
 def test_field_csv_matches_savetxt_random(tmp_path, seed):
     rng = np.random.default_rng(seed)
-    g = make_grid(8, 2.0)
+    g = GridSpec(8, 2.0)
     vals = rng.normal(size=(8, 8)) * 10.0 ** rng.integers(-12, 12) + 1j * rng.normal(size=(8, 8))
     _assert_field_matches_oracle(ComplexField(g, vals), tmp_path, seed)
 
@@ -289,7 +295,7 @@ def test_profile_csv_matches_savetxt(tmp_path, m):
 
 def test_field_csv_streams_rows(tmp_path):
     # a 256^2 CSV is ~5 MiB of text; writing row by row keeps Python memory far under it
-    f = sample_lg(LGBeamSpec(1.0, 1), make_grid(256, 3.0))
+    f = sample_lg(LGBeamSpec(1.0, 1), GridSpec(256, 3.0))
     tracemalloc.start()
     try:
         write_field_csv(f, tmp_path / "stream.csv")
@@ -355,7 +361,7 @@ def test_phase_ppm_matches_select_wheel_at_sector_boundaries(tmp_path):
     n = int(np.ceil(np.sqrt(len(values))))
     grid = np.zeros(n * n, dtype=complex)
     grid[: len(values)] = values
-    f = ComplexField(make_grid(n, 1.0), grid.reshape(n, n))
+    f = ComplexField(GridSpec(n, 1.0), grid.reshape(n, n))
     _assert_ppm_matches_oracle(f, tmp_path / "boundaries.ppm")
 
 
@@ -363,7 +369,7 @@ def test_phase_ppm_matches_select_wheel_at_the_amplitude_floor(tmp_path):
     phases = np.exp(1j * np.linspace(-np.pi, np.pi, 16))
     levels = [1.0, AMPLITUDE_FLOOR, 0.5 * AMPLITUDE_FLOOR, np.nextafter(AMPLITUDE_FLOOR, 0.0), 0.0]
     vals = np.array([lvl * phases for lvl in levels] + [np.zeros(16)] * 11)
-    f = ComplexField(make_grid(16, 1.0), vals)
+    f = ComplexField(GridSpec(16, 1.0), vals)
     _assert_ppm_matches_oracle(f, tmp_path / "floor.ppm")
     img = _read_ppm(tmp_path / "floor.ppm")
     assert img[15].any() and img[14].any()  # full amplitude, and exactly at the floor
@@ -381,7 +387,7 @@ def test_phase_ppm_matches_select_wheel_random(tmp_path, seed):
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     vals *= 10.0 ** rng.integers(-14, 0, size=(9, 9))
-    _assert_ppm_matches_oracle(ComplexField(make_grid(9, 2.0), vals), tmp_path / f"r{seed}.ppm")
+    _assert_ppm_matches_oracle(ComplexField(GridSpec(9, 2.0), vals), tmp_path / f"r{seed}.ppm")
 
 
 # ------------------------------------------------------ former image writers
@@ -428,7 +434,7 @@ def test_writers_match_former_on_random_phases(tmp_path, seed):
     rng = np.random.default_rng(seed)
     amp = rng.random((33, 33)) * 10.0 ** rng.integers(-6, 3, size=(33, 33))
     phase = rng.uniform(-np.pi, np.pi, size=(33, 33))
-    _assert_writers_match_former(ComplexField(make_grid(33, 2.0), amp * np.exp(1j * phase)), tmp_path)
+    _assert_writers_match_former(ComplexField(GridSpec(33, 2.0), amp * np.exp(1j * phase)), tmp_path)
 
 
 def test_writers_match_former_at_angle_pi(tmp_path):
@@ -454,9 +460,9 @@ def test_writers_match_former_on_a_zero_field(tmp_path):
 
 
 def test_writers_leave_read_only_values_unchanged(tmp_path):
-    values = sample_lg(LGBeamSpec(1.0, 2), make_grid(32, 3.0)).values.copy()
+    values = sample_lg(LGBeamSpec(1.0, 2), GridSpec(32, 3.0)).values.copy()
     values.flags.writeable = False
-    field = ComplexField(make_grid(32, 3.0), values)
+    field = ComplexField(GridSpec(32, 3.0), values)
     assert field.values is values
     _assert_writers_match_former(field, tmp_path)
 
@@ -465,7 +471,7 @@ def test_writers_leave_read_only_values_unchanged(tmp_path):
 def test_image_writers_hold_few_rasters(tmp_path, writer, rasters):
     n = 512
     rng = np.random.default_rng(7)
-    field = ComplexField(make_grid(n, 3.0), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    field = ComplexField(GridSpec(n, 3.0), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     tracemalloc.start()
     try:
         writer(field, tmp_path / "image")
@@ -595,7 +601,7 @@ def test_field_csv_near_ties_and_range_ends_match_savetxt(tmp_path):
     values = _near_ties() + [1e-300, -5e-324, 1e300, 2.5e-280, 3.5e279, 1.5, -0.0]
     n = 5
     flat = np.resize(np.array(values), 2 * n * n)
-    _assert_field_matches_oracle(ComplexField(make_grid(n, 2.0), flat.view(complex).reshape(n, n)), tmp_path)
+    _assert_field_matches_oracle(ComplexField(GridSpec(n, 2.0), flat.view(complex).reshape(n, n)), tmp_path)
 
 
 @pytest.mark.parametrize("name", ["transfer.json", "interference.json"])
@@ -610,7 +616,7 @@ def test_g17_scalar_path_is_rare_on_painted_fields(name):
 
 
 def test_field_csv_streams_blocks_of_a_transposed_field(tmp_path):
-    f = sample_lg(LGBeamSpec(1.0, 1), make_grid(257, 3.0))
+    f = sample_lg(LGBeamSpec(1.0, 1), GridSpec(257, 3.0))
     f.values = f.values.T  # a view: rows of the field are strided in memory
     assert not f.values.flags.c_contiguous
     write_field_csv(_field_2x2(np.ones((2, 2))), tmp_path / "warm.csv")  # tables are built once
