@@ -245,7 +245,7 @@ def _assert_field_matches_oracle(f, tmp_path, tag=""):
 EDGE_VALUES = [-0.0, 5e-324, 1e300, -1e300, 1.0, -7.0, 2.0**53, 0.1]
 
 
-@pytest.mark.parametrize("n", [2, 8, 257])
+@pytest.mark.parametrize("n", [2, 8, 201, 257])
 def test_field_csv_matches_savetxt(tmp_path, n):
     g = GridSpec(n, 3.0)
     rng = np.random.default_rng(n)
