@@ -31,10 +31,6 @@ def integer(path: str, value) -> int:
     return int(value)
 
 
-class GridMismatchError(VortexTwmError):
-    """Fields that must share one grid were sampled on different grids."""
-
-
 class DegenerateMediumError(VortexTwmError):
     """The response denominator Y vanished (zero decays and zero control)."""
 

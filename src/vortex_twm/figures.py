@@ -31,7 +31,7 @@ from ._parallel import map_items
 from .config import RunConfig, default_config, section
 from .errors import InvalidConfigError, real
 from .render import write_metrics_csv
-from .runner import METRIC_COLUMNS, PAINTED, analyse, shared_inputs, write_manifest, write_products
+from .runner import METRIC_COLUMNS, analyse, write_manifest, write_products
 
 __all__ = ["reproduce_figure", "run_sweep", "DETUNING_SWEEP", "FIGURE_IDS", "SWEEP_PARAMS"]
 
@@ -165,20 +165,17 @@ def _sweep_cells(cfg: RunConfig, param: str, values) -> list[tuple[str, RunConfi
 def _sweep(cfg: RunConfig, param: str, values, out_dir, payload, columns, rows_of):
     """Run cfg across the values of param, cells in parallel, into out_dir/<label>.
 
-    If cfg writes PAINTED products, each input beam that is the same in every cell is
-    sampled once, before the cells run, and a cell samples only its own beams;
-    otherwise nothing is.  The top metrics.csv holds rows_of(analyse result) of
+    The top metrics.csv holds rows_of(analyse result) of
     each cell, led by its value; the manifest lists it and every cell file, reusing
     the size and digest that the cell's own manifest recorded.
     """
     cells = _sweep_cells(cfg, param, values)
-    shared = None if PAINTED.isdisjoint(cfg.outputs) else shared_inputs([c for _, c in cells])
     out_dir = Path(out_dir)  # made by the first cell that writes
 
     def work(cell):
         label, cell_cfg = cell
         analysed = analyse(cell_cfg)
-        manifest = write_products(cell_cfg, out_dir / label, analysed, shared)
+        manifest = write_products(cell_cfg, out_dir / label, analysed)
         return analysed, [{**e, "path": f"{label}/{e['path']}"} for e in manifest["files"]]
 
     done = map_items(work, cells)

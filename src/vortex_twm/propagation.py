@@ -25,6 +25,8 @@ RK4 scheme and is the independent oracle for them; it takes their
 coefficients from ``medium.steady_coherences``.  Its N steps are applied as
 one matrix, R(hA)^N with R the degree-4 Taylor polynomial, formed by
 squaring (``medium.rk4_power``).
+``output_rings`` is the one path to the outputs: analysis reads it on
+rings, and ``output_fields`` paints a grid from it.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import ComplexField, GridSpec
-from .errors import GridMismatchError, InvalidConfigError, StepCountError
+from .beams import ComplexField, GridSpec, LGBeamSpec, lg_radial
+from .errors import InvalidConfigError, StepCountError
 from .medium import MediumParams, _checked_y, beta_factor, rk4_power, steady_coherences
 
 __all__ = [
@@ -180,14 +182,6 @@ def integrate_channel_numeric(
     return ChannelState(primary=m[..., 0, 0] * u, generated=m[..., 1, 0] * u, z=p.length)
 
 
-def _shared_grid(*fields: ComplexField) -> GridSpec:
-    """The grid of fields, which must all lie on equal specs (the same n and extent)."""
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields[1:]):
-        raise GridMismatchError("control and probe fields must share one grid")
-    return grid
-
-
 def _exit_faces(p: MediumParams, control, probe_p, probe_s) -> dict:
     """The six output fields from the three input fields at the same points."""
     # both channels travel the full length, so they share one factor pair
@@ -240,26 +234,40 @@ def output_rings(p: MediumParams, control, probe_p, probe_s):
     return rings
 
 
-def output_fields(
-    p: MediumParams,
-    control_field: ComplexField,
-    probe_p: ComplexField,
-    probe_s: ComplexField,
-) -> dict[str, ComplexField]:
-    """Propagate both channels across the medium and return the six output fields.
+def output_fields(p: MediumParams, control: LGBeamSpec, probe_p: LGBeamSpec,
+                  probe_s: LGBeamSpec, grid: GridSpec) -> dict[str, ComplexField]:
+    """The six output fields on grid, both channels propagated across the medium.
 
-    The resultant field at each exit face superposes the boundary probe
-    entering there with the counter-propagating generated field arriving
-    there after a full traversal:
-
-        omega_d (z = 0 face) = probe_p boundary + omega_fp at travel L
-        omega_u (z = L face) = probe_s boundary + omega_fs at travel L
-
-    omega_fp, omega_fs, omega_s and omega_p are the propagated constituents
-    at their exit faces, the generated fields and the transmitted probes.
-    Each pixel is the same formula as output_rings applies to radial parts.
+    Each exit face superposes the probe entering there with the generated
+    field arriving there after a full traversal: omega_d (z = 0 face) is
+    probe_p + omega_fp and omega_u (z = L face) is probe_s + omega_fs, while
+    omega_fp, omega_fs, omega_s and omega_p are the generated fields and the
+    transmitted probes.  Each field is output_rings read at the grid's
+    distinct radii, gathered onto the pixels, times (cos theta + i sin theta)^k
+    per order k.  Where their orders differ, omega_d is the painted probe_p
+    plus omega_fp, bit for bit, and omega_u the painted probe_s plus omega_fs.
     """
-    inputs = (control_field, probe_p, probe_s)
-    grid = _shared_grid(*inputs)
-    values = _exit_faces(p, *(f.values for f in inputs))
-    return {name: ComplexField(grid, v) for name, v in values.items()}
+    rings = output_rings(p, *((b.tc, lg_radial(b)) for b in (control, probe_p, probe_s)))
+    radii, where = np.unique(grid.r, return_inverse=True)
+    read, where, theta = rings(radii), where.reshape(grid.n, grid.n), grid.theta
+    phases = {1: np.cos(theta) + 1j * np.sin(theta)}  # exp(i m theta) by m > 0
+    del theta
+
+    def paint(k: int, ring) -> np.ndarray:
+        """ring exp(i k theta) on the pixels: conj(conj(ring) exp(i |k| theta)) for k < 0."""
+        out = (np.conj(ring) if k < 0 else ring)[where]
+        if k:
+            if abs(k) not in phases:
+                phases[abs(k)] = phases[1] ** abs(k)
+            out *= phases[abs(k)]
+        return np.conj(out, out=out) if k < 0 else out
+
+    fields = {name: paint(*ring) for name in ("omega_fp", "omega_fs", "omega_s", "omega_p")
+              for ring in read[name].items()}
+    for name, probe, partner in (("omega_d", probe_p, "omega_fp"),
+                                 ("omega_u", probe_s, "omega_fs")):
+        fields[name] = paint(probe.tc, read[name][probe.tc])
+        if len(read[name]) == 2:  # the probe's order is not its generated partner's
+            fields[name] += fields[partner]
+    del where, phases  # before the fields' peak scans
+    return {name: ComplexField(grid, fields[name]) for name in read}

@@ -2,7 +2,7 @@
 
 A run analyses the six output fields from their closed form alone and
 writes the requested products; only fields and images paint the fields,
-sampling each distinct input beam once and propagating both channels:
+from the same closed form, with one propagation.output_fields call:
 
     fields    CSV dumps of the six computed fields
     images    PGM intensity and PPM phase maps of the six computed fields
@@ -19,16 +19,14 @@ import hashlib
 import json
 from pathlib import Path
 
-from . import analysis, render
-from .beams import ComplexField, LGBeamSpec, lg_radial, sample_lg
+from . import analysis, propagation, render
+from .beams import ComplexField, LGBeamSpec, lg_radial
 from .config import RunConfig, config_to_dict
-from .errors import GridMismatchError, NonFiniteFieldError, VortexTwmError
-from .propagation import output_fields, output_rings
+from .errors import NonFiniteFieldError, VortexTwmError
 
 __all__ = [
     "run_config",
     "compute_fields",
-    "shared_inputs",
     "write_products",
     "field_metrics",
     "analyse",
@@ -44,45 +42,9 @@ def _beams(cfg: RunConfig) -> tuple[LGBeamSpec, LGBeamSpec, LGBeamSpec]:
     return cfg.control, cfg.probe_p, cfg.probe_s
 
 
-def _beam_key(spec: LGBeamSpec) -> tuple:
-    """The exact bits of a beam: LGBeamSpec equality merges epsilon -0.0 and
-    0.0, whose samples differ in the sign of every zero, so no sample is
-    shared by equality."""
-    return spec.epsilon.hex(), spec.tc, spec.waist.hex()
-
-
-def shared_inputs(cfgs) -> dict:
-    """A sample of each input beam that cfgs all have, keyed by beam, on their grid.
-
-    cfgs share one grid section, as the cells of a sweep do.  A beam that
-    differs between the configs is not sampled here, so this holds no
-    sample per config.
-    """
-    grid = cfgs[0].grid
-    if any(cfg.grid != grid for cfg in cfgs):
-        raise GridMismatchError("configs sharing their inputs must share one grid")
-    keyed = [{_beam_key(b): b for b in _beams(cfg)} for cfg in cfgs]
-    common = set(keyed[0]).intersection(*keyed[1:])
-    return {key: sample_lg(b, grid) for key, b in keyed[0].items() if key in common}
-
-
-def compute_fields(cfg: RunConfig, shared: dict | None = None) -> dict[str, ComplexField]:
-    """Sample inputs on cfg.grid, propagate, and return the six named output fields.
-
-    Each distinct input beam is sampled once; probe_p and probe_s are
-    often the same beam.  shared, the shared_inputs of configs that
-    include cfg, gives the beams that those configs all have, each of
-    which must lie on cfg.grid, and only the rest of cfg's beams are
-    sampled here.  The fields are byte for byte the same either way.
-    """
-    samples = dict(shared_inputs([cfg]) if shared is None else shared)
-    if any(sample.grid != cfg.grid for sample in samples.values()):
-        raise GridMismatchError(f"shared inputs lie on another grid than {cfg.grid}")
-    for beam in _beams(cfg):
-        key = _beam_key(beam)
-        if key not in samples:
-            samples[key] = sample_lg(beam, cfg.grid)
-    return output_fields(cfg.medium, *(samples[_beam_key(b)] for b in _beams(cfg)))
+def compute_fields(cfg: RunConfig) -> dict[str, ComplexField]:
+    """The six named output fields of cfg, painted on cfg.grid by propagation.output_fields."""
+    return propagation.output_fields(cfg.medium, *_beams(cfg), cfg.grid)
 
 
 def _metric_or_blank(fn):
@@ -140,8 +102,7 @@ def write_manifest(out_dir, payload: dict, paths, listed=()) -> dict:
 
 def run_config(cfg: RunConfig, out_dir) -> dict:
     """Run one configuration into out_dir; returns the manifest payload."""
-    shared = None if PAINTED.isdisjoint(cfg.outputs) else shared_inputs([cfg])  # as in a sweep
-    return write_products(cfg, out_dir, analyse(cfg), shared)
+    return write_products(cfg, out_dir, analyse(cfg))
 
 
 def analyse(cfg: RunConfig) -> dict:
@@ -151,7 +112,7 @@ def analyse(cfg: RunConfig) -> dict:
     once at the radii that ring_radius scans and once per distinct metric ring (a scalar).
     A field's peak is its radial_max over both; a failed read blanks, a non-finite one raises.
     """
-    rings = output_rings(cfg.medium, *((b.tc, lg_radial(b)) for b in _beams(cfg)))
+    rings = propagation.output_rings(cfg.medium, *((b.tc, lg_radial(b)) for b in _beams(cfg)))
     radii = analysis.scan_radii(cfg.grid)
     scan = _metric_or_blank(lambda: rings(radii))
     reads, analysed = {"": ""}, {}  # metric ring -> the rings there, "" if unread
@@ -170,9 +131,9 @@ def analyse(cfg: RunConfig) -> dict:
     return analysed
 
 
-def write_products(cfg: RunConfig, out_dir, analysed, shared) -> dict:
+def write_products(cfg: RunConfig, out_dir, analysed) -> dict:
     """Write cfg's products from analysed = analyse(cfg), painting the fields for PAINTED ones."""
-    fields = {} if PAINTED.isdisjoint(cfg.outputs) else compute_fields(cfg, shared)
+    fields = {} if PAINTED.isdisjoint(cfg.outputs) else compute_fields(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written, made = [], {""}

@@ -270,7 +270,9 @@ def sum_ripple_error(out) -> float:
     out is compute_fields of fig4's delta = 0 cell.  Measured without
     interpolation: the grid's 8-fold symmetry orbit maps each node to nodes
     of exactly equal radius, so any orbit mismatch in
-    |omega_d|^2 + |omega_u|^2 is angular ripple.
+    |omega_d|^2 + |omega_u|^2 is angular ripple.  The orbit keeps radii only
+    because the cell's GridSpec(257, 3.0) has a bitwise antisymmetric axis
+    (axis + axis[::-1] is all zero); GridSpec(256, 3.0)'s is not (4.4e-16).
     """
     s = np.abs(out["omega_d"].values) ** 2 + np.abs(out["omega_u"].values) ** 2
     peak = float(s.max())

@@ -7,6 +7,7 @@ and one that a run no longer calls through that attribute would trace 0.
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 from vortex_twm.config import load_config
@@ -69,3 +70,29 @@ def test_a_run_calls_each_traced_analysis_step_through_its_attribute(tmp_path, m
         "field_metrics": 6,
         "write_manifest": 1,
     }
+
+
+def test_a_painted_run_calls_output_fields_through_its_attribute_and_samples_no_beam(
+    tmp_path, monkeypatch
+):
+    # the output_fields layer is the whole painter: one call per painted run, no beam sample
+    calls = {"output_fields": 0, "sample_lg": 0}
+
+    def counting(real, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    propagation = importlib.import_module("vortex_twm.propagation")
+    monkeypatch.setattr(
+        propagation, "output_fields", counting(propagation.output_fields, "output_fields")
+    )
+    sample_lg = importlib.import_module("vortex_twm.beams").sample_lg
+    for name, module in list(sys.modules.items()):  # every namespace that binds it
+        if name.split(".")[0] == "vortex_twm" and getattr(module, "sample_lg", None) is sample_lg:
+            monkeypatch.setattr(module, "sample_lg", counting(sample_lg, "sample_lg"))
+    cfg = load_config(ROOT / "configs" / "transfer.json")
+    assert {"fields", "images"} <= set(cfg.outputs)
+    run_config(cfg, tmp_path / "run")
+    assert calls == {"output_fields": 1, "sample_lg": 0}
