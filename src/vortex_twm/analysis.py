@@ -170,9 +170,9 @@ def radial_max(amps: dict) -> float:
 
 
 def scan_radii(grid: GridSpec) -> np.ndarray:
-    """The rings that ring_radius scans: half the step of grid.axis, from 0 to its extent."""
+    """The rings that ring_radius scans: at half the grid's step, from 0 to at most its extent."""
     step = np.diff(grid.axis[:2])[0]
-    return np.arange(0.0, grid.extent + 0.25 * step, 0.5 * step)
+    return np.minimum(np.arange(0.0, grid.extent + 0.25 * step, 0.5 * step), grid.extent)
 
 
 def ring_radius(peak: float, radii: np.ndarray, amps: dict) -> float:

@@ -209,7 +209,7 @@ def _output_parts(lc: int, lp: int, ls: int) -> dict:
 
 
 def output_rings(p: MediumParams, control, probe_p, probe_s):
-    """rings(r): each output's {k: R_k(r)}, for inputs of one order each, given as (k, R_k).
+    """rings(r): each output's {k: R_k(r)}, from the three LGBeamSpecs' lg_radial(r).
 
     Propagation is per pixel and sees the control only through
     |control|^2, so inputs of one angular order each (lc, lp, ls) give
@@ -222,8 +222,8 @@ def output_rings(p: MediumParams, control, probe_p, probe_s):
     One _exit_faces evaluation on the inputs' R_k(r), so a scalar r stays
     scalar; each call makes new complex arrays shaped as r, and keeps none.
     """
-    (lc, c), (lp, pp), (ls, ps) = control, probe_p, probe_s
-    table = _output_parts(lc, lp, ls)
+    c, pp, ps = lg_radial(control), lg_radial(probe_p), lg_radial(probe_s)
+    table = _output_parts(control.tc, probe_p.tc, probe_s.tc)
 
     def rings(r) -> dict:
         b_p, b_s = pp(r), ps(r)
@@ -247,7 +247,7 @@ def output_fields(p: MediumParams, control: LGBeamSpec, probe_p: LGBeamSpec,
     per order k.  Where their orders differ, omega_d is the painted probe_p
     plus omega_fp, bit for bit, and omega_u the painted probe_s plus omega_fs.
     """
-    rings = output_rings(p, *((b.tc, lg_radial(b)) for b in (control, probe_p, probe_s)))
+    rings = output_rings(p, control, probe_p, probe_s)
     radii, where = np.unique(grid.r, return_inverse=True)
     read, where, theta = rings(radii), where.reshape(grid.n, grid.n), grid.theta
     phases = {1: np.cos(theta) + 1j * np.sin(theta)}  # exp(i m theta) by m > 0

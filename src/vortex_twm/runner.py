@@ -20,11 +20,12 @@ import json
 from pathlib import Path
 
 from . import analysis, propagation, render
-from .beams import ComplexField, LGBeamSpec, lg_radial
+from .beams import ComplexField
 from .config import RunConfig, config_to_dict
 from .errors import NonFiniteFieldError, VortexTwmError
 
 __all__ = [
+    "Blank",
     "run_config",
     "compute_fields",
     "write_products",
@@ -38,39 +39,44 @@ OUTPUT_NAMES = ("omega_d", "omega_u", "omega_fp", "omega_fs", "omega_s", "omega_
 PAINTED = frozenset({"fields", "images"})  # the products written from the painted fields
 
 
-def _beams(cfg: RunConfig) -> tuple[LGBeamSpec, LGBeamSpec, LGBeamSpec]:
-    return cfg.control, cfg.probe_p, cfg.probe_s
+class Blank(str):
+    """An undefined metric cell: equal to "", so written as "", with its VortexTwmError in .why."""
+
+    def __new__(cls, why: VortexTwmError):
+        blank = super().__new__(cls)
+        blank.why = why.with_traceback(None)  # its frames would keep a read's arrays alive
+        return blank
 
 
 def compute_fields(cfg: RunConfig) -> dict[str, ComplexField]:
     """The six named output fields of cfg, painted on cfg.grid by propagation.output_fields."""
-    return propagation.output_fields(cfg.medium, *_beams(cfg), cfg.grid)
+    return propagation.output_fields(cfg.medium, cfg.control, cfg.probe_p, cfg.probe_s, cfg.grid)
 
 
-def _metric_or_blank(fn):
+def _metric_or_blank(fn, *needs):
+    """fn(), or a Blank: the first of needs that is one, else that of the error fn raises."""
+    if blanks := [need for need in needs if isinstance(need, Blank)]:
+        return blanks[0]
     try:
         return fn()
     except NonFiniteFieldError:
         raise  # fails the run, as a non-finite raster does
-    except VortexTwmError:
-        return ""
+    except VortexTwmError as why:
+        return Blank(why)
 
 
 def field_metrics(name: str, peak: float, ring, radius, amps, m: int):
     """Observable row and ring profile (None without amps) of one field.
 
     peak is its radial_max, ring its brightest ring, radius its metric ring, amps its
-    {k: R_k} there and m the profile's sample count.  Blanks mark undefined values.
+    {k: R_k} there, or the Blank of that read, and m the profile's sample count.  An
+    undefined value is a Blank; a blank amps is the value of the ring's three metrics.
     """
-    row = dict.fromkeys(METRIC_COLUMNS, "")
-    row.update(field=name, radius=radius, ring_radius=ring)
-    if amps == "":
-        return row, None
-    profile = analysis.azimuthal_profile(radius, amps, m)
-    row["winding"] = _metric_or_blank(lambda: analysis.winding_number(peak, amps))
-    row["petal_count"] = _metric_or_blank(lambda: analysis.petal_count(profile))
-    row["peak_angle"] = _metric_or_blank(lambda: analysis.peak_angle(profile))
-    return row, profile
+    profile = None if isinstance(amps, Blank) else analysis.azimuthal_profile(radius, amps, m)
+    petals = amps if profile is None else analysis.petal_count(profile)
+    winding = _metric_or_blank(lambda: analysis.winding_number(peak, amps), amps)
+    angle = _metric_or_blank(lambda: analysis.peak_angle(profile), amps)
+    return dict(zip(METRIC_COLUMNS, (name, radius, winding, petals, angle, ring))), profile
 
 
 def file_sha256(path) -> str:
@@ -110,23 +116,21 @@ def analyse(cfg: RunConfig) -> dict:
 
     Only cfg's closed form is read: the six fields' rings together, afresh at each read,
     once at the radii that ring_radius scans and once per distinct metric ring (a scalar).
-    A field's peak is its radial_max over both; a failed read blanks, a non-finite one raises.
+    A field's peak is its radial_max over both.  A failed read or step leaves a Blank, also
+    the value of every cell that needs its result; a non-finite read raises.
     """
-    rings = propagation.output_rings(cfg.medium, *((b.tc, lg_radial(b)) for b in _beams(cfg)))
+    rings = propagation.output_rings(cfg.medium, cfg.control, cfg.probe_p, cfg.probe_s)
     radii = analysis.scan_radii(cfg.grid)
     scan = _metric_or_blank(lambda: rings(radii))
-    reads, analysed = {"": ""}, {}  # metric ring -> the rings there, "" if unread
+    reads, analysed = {}, {}  # metric ring -> the rings there, or the Blank of that read
     for name in OUTPUT_NAMES:
-        peak = analysis.radial_max(scan[name]) if scan else 0.0
-        ring = scan and _metric_or_blank(lambda: analysis.ring_radius(peak, radii, scan[name]))
+        peak = 0.0 if isinstance(scan, Blank) else analysis.radial_max(scan[name])
+        ring = _metric_or_blank(lambda: analysis.ring_radius(peak, radii, scan[name]), scan)
         radius = ring if cfg.analysis.radius == "auto" else cfg.analysis.radius
-        key = str(radius)  # a float's repr keeps -0.0 apart from 0.0
-        if key not in reads:
-            reads[key] = _metric_or_blank(
-                lambda: rings(analysis.check_radius(radius, cfg.grid.extent))
-            )
-        amps = reads[key] and reads[key][name]
-        peak = max(peak, analysis.radial_max(amps)) if amps else peak
+        if not (isinstance(radius, Blank) or radius in reads):
+            reads[radius] = _metric_or_blank(lambda: rings(radius))
+        amps = _metric_or_blank(lambda: reads[radius][name], radius, reads.get(radius))
+        peak = peak if isinstance(amps, Blank) else max(peak, analysis.radial_max(amps))
         analysed[name] = field_metrics(name, peak, ring, radius, amps, cfg.analysis.m)
     return analysed
 

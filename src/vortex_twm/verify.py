@@ -29,7 +29,7 @@ from .medium import (
     y_factor,
 )
 from .propagation import integrate_channel_numeric, solve_channel_p, solve_channel_s
-from .runner import analyse, compute_fields
+from .runner import Blank, analyse, compute_fields
 
 __all__ = ["SuiteResult", "run_verify", "print_report", "ensure_passing"]
 
@@ -287,10 +287,10 @@ def anti_phase_peak_error(analysed) -> float:
     """At delta = 0 the two crescents of the cell of sum_ripple_error must point pi apart.
 
     analysed is runner.analyse of that cell: its rows' peak angles, read on the
-    cell's pinned ring. A blank angle, a ring without structure, fails.
+    cell's pinned ring. A Blank angle, of a ring without structure or unread, fails.
     """
     peak_d, peak_u = (analysed[name][0]["peak_angle"] for name in ("omega_d", "omega_u"))
-    if "" in (peak_d, peak_u):
+    if isinstance(peak_d, Blank) or isinstance(peak_u, Blank):
         return math.inf
     return abs((peak_d - peak_u) % (2.0 * np.pi) - np.pi)
 

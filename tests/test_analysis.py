@@ -26,7 +26,7 @@ from vortex_twm.errors import (
     StructurelessProfileError,
     ZeroFieldError,
 )
-from vortex_twm.runner import field_metrics
+from vortex_twm.runner import Blank, field_metrics
 
 GRID = GridSpec(257, 3.0)
 
@@ -242,11 +242,21 @@ def test_ring_radius_zero_field():
 @pytest.mark.parametrize("n", [2, 257, 1000])
 @pytest.mark.parametrize("extent", [0.5, 3.0, 7.25])
 def test_a_grid_spec_scans_the_rings_of_its_grid(n, extent):
-    # half-pixel rings from the axis to the extent, at the step of the grid's own axis
+    # n half-pixel rings from the axis to the extent, at the step of the grid's own axis
     grid = GridSpec(n, extent)
     step = float(grid.axis[1] - grid.axis[0])
-    want = np.arange(0.0, grid.extent + 0.25 * step, 0.5 * step)
-    assert analysis.scan_radii(grid).tobytes() == want.tobytes()
+    radii = analysis.scan_radii(grid)
+    assert radii.dtype == np.float64 and radii.shape == (n,) and radii[0] == 0.0
+    assert np.allclose(np.diff(radii), 0.5 * step, rtol=1e-9, atol=0.0)
+    assert radii[-1] <= extent and radii[-1] == pytest.approx(extent, rel=1e-12)
+
+
+@pytest.mark.parametrize("extent", [0.5, 3.0, 7.25])
+def test_no_scanned_ring_passes_the_extent(extent):
+    # half-step arange overshoots the extent by an ulp at many n (n = 39 at 3.0)
+    for n in range(2, 4097):
+        radii = analysis.scan_radii(GridSpec(n, extent))
+        assert radii.shape == (n,) and radii.max() <= extent, n
 
 
 def test_winding_radius_default_matches_explicit():
@@ -266,11 +276,14 @@ def test_ring_uniform_lg_has_no_petals(n, tc):
 
 
 def test_a_row_without_a_ring_read_keeps_only_its_radius():
-    for radius in ("", 1.0):  # a row without a ring read keeps only its radius
-        row, profile = field_metrics("omega_fs", 0.0, "", radius, "", DEFAULT_M)
+    blank = Blank(ZeroFieldError("ring radius undefined for an all-zero field"))
+    for radius in (blank, 1.0):  # a row without a ring read keeps only its radius
+        row, profile = field_metrics("omega_fs", 0.0, blank, radius, blank, DEFAULT_M)
         assert profile is None
         assert row["ring_radius"] == row["winding"] == row["petal_count"] == row["peak_angle"] == ""
         assert row["radius"] == radius
+        # the read's Blank, and with it its reason, is each of the ring's metrics
+        assert all(row[c] is blank for c in ("winding", "petal_count", "peak_angle"))
 
 
 # ------------------------------------------- exact ring reads against sampling
@@ -361,4 +374,5 @@ def test_two_equal_orders_leave_the_winding_blank():
     assert winding_number(radial_max(tilted), tilted) == 1
     row, profile = field_metrics("omega_d", analysis.radial_max(amps), "", 1.0, amps, DEFAULT_M)
     assert row["winding"] == ""
+    assert isinstance(row["winding"], Blank) and isinstance(row["winding"].why, AmplitudeFloorError)
     assert profile is not None and petal_count(profile) == 2

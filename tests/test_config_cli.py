@@ -25,7 +25,7 @@ from vortex_twm.analysis import (
     scan_radii,
     winding_number,
 )
-from vortex_twm.beams import EPSILON_MAX, LGBeamSpec, lg_radial
+from vortex_twm.beams import EPSILON_MAX, LGBeamSpec
 from vortex_twm._parallel import map_items
 from vortex_twm.config import (
     AnalysisSpec,
@@ -37,12 +37,19 @@ from vortex_twm.config import (
     load_config,
     parse_config,
 )
-from vortex_twm.errors import DegenerateMediumError, InvalidConfigError, OutOfGridError
+from vortex_twm.errors import (
+    DegenerateMediumError,
+    InvalidConfigError,
+    OutOfGridError,
+    StructurelessProfileError,
+    VortexTwmError,
+    ZeroFieldError,
+)
 from vortex_twm.medium import MediumParams
-from vortex_twm.figures import FIGURE_IDS, _FIGURES
+from vortex_twm.figures import FIGURE_IDS, _FIGURES, _sweep_cells
 from vortex_twm.render import write_profile_csv
 from vortex_twm.propagation import output_rings
-from vortex_twm.runner import analyse, file_sha256, run_config
+from vortex_twm.runner import METRIC_COLUMNS, Blank, analyse, file_sha256, run_config
 from vortex_twm.verify import SuiteResult
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -729,12 +736,6 @@ def test_cli_sweep_happy_path(tmp_path):
     assert manifest["sweep"]["values"] == [0.0, 3.0]
 
 
-def _output_rings(cfg):
-    """rings(r) of cfg's six outputs, the closed form its products read."""
-    beams = (cfg.control, cfg.probe_p, cfg.probe_s)
-    return output_rings(cfg.medium, *((b.tc, lg_radial(b)) for b in beams))
-
-
 def test_cli_fields_profiles_every_field_on_a_pinned_ring(tmp_path):
     # the one way to profile a field at a chosen ring: pin analysis.radius
     doc = _small_doc(outputs=["profiles"], analysis={"radius": 1.0, "m": 720})
@@ -742,7 +743,7 @@ def test_cli_fields_profiles_every_field_on_a_pinned_ring(tmp_path):
     out = tmp_path / "prof"
     assert cli.main(["fields", "--config", str(path), "--out", str(out)]) == 0
     cfg = load_config(path)
-    rings = _output_rings(cfg)(1.0)
+    rings = output_rings(cfg.medium, cfg.control, cfg.probe_p, cfg.probe_s)(1.0)
     written = sorted((out / "profiles").iterdir())
     assert [p.name for p in written] == sorted(f"{name}_profile.csv" for name in rings)
     for name, amps in rings.items():
@@ -841,7 +842,7 @@ def test_a_pinned_ring_winds_where_the_scan_meets_the_axis():
         probe_p={"epsilon": 0.005, "tc": 1},
         probe_s={"epsilon": 0.005, "tc": 1},
     ))
-    rings = _output_rings(cfg)
+    rings = output_rings(cfg.medium, cfg.control, cfg.probe_p, cfg.probe_s)
     with pytest.raises(DegenerateMediumError):
         rings(scan_radii(cfg.grid))
     amps = rings(1.0)
@@ -849,6 +850,69 @@ def test_a_pinned_ring_winds_where_the_scan_meets_the_axis():
     assert winding_number(radial_max(amps["omega_fp"]), amps["omega_fp"]) == 0
     pinned = analyse(dataclasses.replace(cfg, analysis=AnalysisSpec(1.0)))
     assert (pinned["omega_fs"][0]["winding"], pinned["omega_fp"][0]["winding"]) == (2, 0)
+
+
+def test_every_blank_cell_of_the_presets_and_bundled_configs_keeps_its_reason():
+    cfgs = [load_config(CONFIGS / name) for name in ("transfer.json", "interference.json")]
+    for base, param, values, _columns, _notes in _FIGURES.values():
+        cfgs += [cell for _label, cell in _sweep_cells(base, param, values)]
+    cells = [
+        (column, row[column])
+        for cfg in cfgs for row, _profile in analyse(cfg).values() for column in METRIC_COLUMNS
+    ]
+    assert len(cfgs) == 22 and len(cells) == 792
+    blanks = [(column, cell) for column, cell in cells if cell == ""]
+    assert all(isinstance(cell, Blank) and isinstance(cell.why, VortexTwmError) for _, cell in blanks)
+    # today every one is the peak angle of a ring without structure
+    assert {(column, type(cell.why)) for column, cell in blanks} == {
+        ("peak_angle", StructurelessProfileError)
+    }
+    assert len(blanks) == 96
+
+
+def test_a_dark_field_blanks_its_ring_with_a_zero_field_error():
+    cfg = parse_config(_small_doc(control={"epsilon": 0.0, "tc": 1}))
+    row, profile = analyse(cfg)["omega_fp"]
+    assert profile is None and isinstance(row["ring_radius"].why, ZeroFieldError)
+    assert row["ring_radius"].why.__traceback__ is None  # it would hold the read's frames
+    # an automatic ring: the blank ring is the radius and each metric read there
+    for column in ("radius", "winding", "petal_count", "peak_angle"):
+        assert row[column] is row["ring_radius"]
+
+
+def test_an_unread_scan_hands_its_degenerate_medium_error_to_an_auto_ring():
+    # zero decays with a charged control: Y = 0 on the axis, where the scan starts
+    analysed = analyse(parse_config(_small_doc(
+        medium={"gamma31": 0.0, "gamma21": 0.0, "d": 8.0},
+        probe_p={"epsilon": 0.005, "tc": 1},
+        probe_s={"epsilon": 0.005, "tc": 1},
+    )))
+    blanks = [row[c] for row, _profile in analysed.values() for c in METRIC_COLUMNS[1:]]
+    assert len(blanks) == 30 and len({id(blank) for blank in blanks}) == 1
+    assert blanks[0] == "" and isinstance(blanks[0].why, DegenerateMediumError)
+    assert all(profile is None for _row, profile in analysed.values())
+
+
+def test_cli_fields_a_ring_at_the_grid_edge_has_metrics(tmp_path, capsys):
+    # the beams' rings lie past the grid, so each brightest ring is its edge; at n = 39 the
+    # half-step sum passes extent 3.0 by an ulp, and the scan stops at the extent
+    beam = {"tc": 3, "waist": 3.0}
+    doc = _small_doc(
+        medium={"gamma31": 1.0, "gamma21": 0.05, "d": 8.0},
+        control={"epsilon": 4.0, **beam},
+        probe_p={"epsilon": 0.005, **beam},
+        probe_s={"epsilon": 0.005, **beam},
+        grid={"n": 39, "extent": 3.0},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["fields", "--config", str(_write_doc(tmp_path, doc)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = {row["field"]: row for row in csv.DictReader(fh)}
+    assert all(row["radius"] == row["ring_radius"] == "3" for row in rows.values())
+    omega_d = rows["omega_d"]
+    assert (omega_d["winding"], omega_d["petal_count"]) == ("3", "3")
+    assert omega_d["peak_angle"] == "1.5707963267948966"
 
 
 def test_cli_verify_fast_passes(capsys):

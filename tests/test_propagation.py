@@ -261,7 +261,7 @@ def test_output_fields_zero_control_passthrough():
     assert not np.any(out["omega_fp"].values) and not np.any(out["omega_fs"].values)
     # each output keeps its probe's order and gains a dark generated one
     r = np.linspace(0.0, 3.0, 7)
-    rings = output_rings(CANON, *((b.tc, lg_radial(b)) for b in (dark, spec_p, spec_s)))(r)
+    rings = output_rings(CANON, dark, spec_p, spec_s)(r)
     assert sorted(rings["omega_d"]) == [0, 1]
     assert np.array_equal(rings["omega_d"][1], lg_radial(spec_p)(r))
     assert np.array_equal(rings["omega_u"][0], lg_radial(spec_s)(r))
@@ -286,7 +286,7 @@ def test_values_are_the_closed_form_on_the_grid(n):
         fields = {**inputs, **output_fields(p, *specs.values(), g)}
         rings = {
             **{name: {spec.tc: lg_radial(spec)(g.r)} for name, spec in specs.items()},
-            **output_rings(p, *((spec.tc, lg_radial(spec)) for spec in specs.values()))(g.r),
+            **output_rings(p, *specs.values())(g.r),
         }
         want = {
             "control": {lc}, "probe_p": {lp}, "probe_s": {ls},
@@ -322,7 +322,7 @@ def _ring_reads():
     """The radial parts of inputs of orders lc = 1, lp = 1, ls = 0, and their outputs' rings."""
     specs = (LGBeamSpec(4.0, 1), LGBeamSpec(0.005, 1), LGBeamSpec(0.005, 0))
     radials = [lg_radial(spec) for spec in specs]
-    return radials, output_rings(CANON, *((spec.tc, lg_radial(spec)) for spec in specs))
+    return radials, output_rings(CANON, *specs)
 
 
 def test_ring_reads_equal_an_uncached_evaluation():

@@ -23,7 +23,8 @@ from vortex_twm.render import (
 )
 from vortex_twm.analysis import AMPLITUDE_FLOOR, DEFAULT_M, AzimuthalProfile, azimuthal_profile
 from vortex_twm.config import load_config
-from vortex_twm.runner import compute_fields
+from vortex_twm.errors import StructurelessProfileError
+from vortex_twm.runner import Blank, compute_fields
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -204,6 +205,14 @@ def test_metrics_csv_cells(tmp_path):
     write_metrics_csv(rows, ("k", "v"), path)
     want = [f"omega_d,{v:.17g}" for v in doubles] + ["3,0.10000000000000001", ","]
     assert path.read_bytes().decode("ascii").split("\n") == ["k,v", *want, ""]
+
+
+def test_a_blank_cell_is_written_empty(tmp_path):
+    # a Blank keeps its reason in .why, and the file sees only ""
+    blank = Blank(StructurelessProfileError("profile has no azimuthal structure"))
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv([{"k": blank, "v": 0.5}, {"k": "omega_d", "v": blank}], ("k", "v"), path)
+    assert path.read_bytes() == b"k,v\n,0.5\nomega_d,\n"
 
 
 def test_writers_byte_deterministic(tmp_path):
