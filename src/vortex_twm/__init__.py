@@ -21,8 +21,7 @@ from .propagation import (
     ChannelState,
     integrate_channel_numeric,
     output_fields,
-    solve_channel_p,
-    solve_channel_s,
+    solve_channel,
 )
 from .runner import analyse, compute_fields, run_config
 from .verify import run_verify
@@ -56,8 +55,7 @@ __all__ = [
     "run_sweep",
     "run_verify",
     "sample_lg",
-    "solve_channel_p",
-    "solve_channel_s",
+    "solve_channel",
     "steady_coherences",
     "y_factor",
     "__version__",

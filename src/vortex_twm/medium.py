@@ -184,8 +184,8 @@ def evolve_coherences(
     """
     if not dt > 0:
         raise StepSizeError(f"dt must be positive, got {dt!r}")
-    if t_end < 0:
-        raise StepSizeError(f"t_end must be >= 0, got {t_end!r}")
+    if not 0 <= t_end < math.inf:
+        raise StepSizeError(f"t_end must be finite and >= 0, got {t_end!r}")
     scale = max(p.gamma31, p.gamma21, abs(p.delta), float(np.max(np.abs(control))))
     if dt * scale > 0.1:
         raise StepSizeError(

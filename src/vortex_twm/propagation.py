@@ -18,10 +18,10 @@ from opposite faces, so when composing face values the s-channel quantities
 evaluated at travel distance L sit at the laboratory z = 0 face and vice
 versa.
 
-``solve_channel_s`` and ``solve_channel_p`` evaluate the closed-form
-solutions (matrix exponential of the constant-coefficient system);
+``solve_channel`` evaluates either channel's closed-form solution (matrix
+exponential of the constant-coefficient system);
 ``integrate_channel_numeric`` integrates the same systems with the classical
-RK4 scheme and is the independent oracle for them; it takes their
+RK4 scheme and is the independent oracle for it; it takes their
 coefficients from ``medium.steady_coherences``.  Its N steps are applied as
 one matrix, R(hA)^N with R the degree-4 Taylor polynomial, formed by
 squaring (``medium.rk4_power``).
@@ -40,8 +40,7 @@ from .medium import MediumParams, _checked_y, beta_factor, rk4_power, steady_coh
 
 __all__ = [
     "ChannelState",
-    "solve_channel_s",
-    "solve_channel_p",
+    "solve_channel",
     "integrate_channel_numeric",
     "output_fields",
 ]
@@ -52,11 +51,15 @@ SERIES_SWITCH = 1e-4
 
 @dataclass
 class ChannelState:
-    """Primary and generated amplitudes of one channel at travel distance z."""
+    """Primary and generated amplitudes of one channel."""
 
     primary: np.ndarray
     generated: np.ndarray
-    z: float
+
+
+def _check_channel(channel: str) -> None:
+    if channel not in ("s", "p"):
+        raise InvalidConfigError(f"channel must be 's' or 'p', got {channel!r}")
 
 
 def _check_z(p: MediumParams, z: float) -> float:
@@ -116,8 +119,8 @@ def _closed_form_factors(p: MediumParams, control, z: float):
     return cos_damp, sinc_damp
 
 
-def _channel_state(p: MediumParams, channel: str, control, b0, factors, z: float):
-    """The closed form of solve_channel_s or solve_channel_p from their factors."""
+def _channel_state(p: MediumParams, channel: str, control, b0, factors) -> ChannelState:
+    """The closed form of solve_channel from its factors."""
     cos_damp, sinc_damp = factors
     if channel == "s":
         coeff, leg = p.gamma21 - p.gamma31 - 1j * p.delta, np.conj(control)
@@ -125,28 +128,20 @@ def _channel_state(p: MediumParams, channel: str, control, b0, factors, z: float
         coeff, leg = p.gamma31 + 1j * p.delta - p.gamma21, control
     primary = b0 * (cos_damp - coeff * sinc_damp)
     generated = -1j * leg * b0 * sinc_damp
-    return ChannelState(primary=primary, generated=generated, z=z)
+    return ChannelState(primary=primary, generated=generated)
 
 
-def solve_channel_s(p: MediumParams, control, s0, z: float) -> ChannelState:
-    """Closed-form s-channel state at travel distance z.
+def solve_channel(p: MediumParams, control, boundary, channel: str, z: float) -> ChannelState:
+    """Closed-form state of one channel at travel distance z, from (boundary, 0).
 
-    primary   = s0 [cos(beta x) - (gamma21 - gamma31 - i delta) sin(beta x)/beta] damp
-    generated = -i conj(control) s0 sin(beta x)/beta damp
+    s: primary   = boundary [cos(beta x) - (gamma21 - gamma31 - i delta) sin(beta x)/beta] damp
+       generated = -i conj(control) boundary sin(beta x)/beta damp
+    p: the same with the sin coefficient's sign flipped, (gamma31 + i delta - gamma21),
+       and the generated field carrying the control itself rather than its conjugate.
     """
+    _check_channel(channel)
     z = _check_z(p, z)
-    return _channel_state(p, "s", control, s0, _channel_factors(p, control, z), z)
-
-
-def solve_channel_p(p: MediumParams, control, p0, z: float) -> ChannelState:
-    """Closed-form p-channel state at travel distance z.
-
-    Same structure as the s-channel with the sin coefficient sign flipped,
-    (gamma31 + i delta - gamma21), and the generated field carrying the
-    control itself rather than its conjugate.
-    """
-    z = _check_z(p, z)
-    return _channel_state(p, "p", control, p0, _channel_factors(p, control, z), z)
+    return _channel_state(p, channel, control, boundary, _channel_factors(p, control, z))
 
 
 def integrate_channel_numeric(
@@ -159,10 +154,9 @@ def integrate_channel_numeric(
     (boundary, 0).  Their per-pixel 2x2 coefficient matrix A is the medium's
     own response: its columns are medium.steady_coherences for a unit
     probe on each transition, scaled by i d / (2 L).  The `steps` uniform
-    steps are R(hA)^steps.  Used as the oracle for solve_channel_*.
+    steps are R(hA)^steps.  Used as the oracle for solve_channel.
     """
-    if channel not in ("s", "p"):
-        raise InvalidConfigError(f"channel must be 's' or 'p', got {channel!r}")
+    _check_channel(channel)
     if not isinstance(steps, (int, np.integer)) or steps < 100:
         raise StepCountError(f"steps must be an integer >= 100, got {steps!r}")
 
@@ -179,15 +173,15 @@ def integrate_channel_numeric(
     # the state starts at (boundary, 0): only the first column of the power acts
     m = rk4_power(a, p.length / steps, int(steps))
     u = np.asarray(boundary, dtype=complex)
-    return ChannelState(primary=m[..., 0, 0] * u, generated=m[..., 1, 0] * u, z=p.length)
+    return ChannelState(primary=m[..., 0, 0] * u, generated=m[..., 1, 0] * u)
 
 
 def _exit_faces(p: MediumParams, control, probe_p, probe_s) -> dict:
     """The six output fields from the three input fields at the same points."""
     # both channels travel the full length, so they share one factor pair
     factors = _channel_factors(p, control, p.length)
-    s = _channel_state(p, "s", control, probe_s, factors, p.length)
-    q = _channel_state(p, "p", control, probe_p, factors, p.length)
+    s = _channel_state(p, "s", control, probe_s, factors)
+    q = _channel_state(p, "p", control, probe_p, factors)
     return {
         "omega_d": probe_p + s.generated,
         "omega_u": probe_s + q.generated,

@@ -47,6 +47,9 @@ class Blank(str):
         blank.why = why.with_traceback(None)  # its frames would keep a read's arrays alive
         return blank
 
+    def __repr__(self) -> str:
+        return f"Blank({self.why!r})"
+
 
 def compute_fields(cfg: RunConfig) -> dict[str, ComplexField]:
     """The six named output fields of cfg, painted on cfg.grid by propagation.output_fields."""

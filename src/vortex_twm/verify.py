@@ -28,7 +28,7 @@ from .medium import (
     steady_coherences,
     y_factor,
 )
-from .propagation import integrate_channel_numeric, solve_channel_p, solve_channel_s
+from .propagation import integrate_channel_numeric, solve_channel
 from .runner import Blank, analyse, compute_fields
 
 __all__ = ["SuiteResult", "run_verify", "print_report", "ensure_passing"]
@@ -68,8 +68,8 @@ def channel_oracle_error(n: int, steps: int) -> float:
         grid = GridSpec(cell_n, 3.0)
         control = sample_lg(LGBeamSpec(epsilon=4.0, tc=lc), grid).values
         b0 = sample_lg(LGBeamSpec(epsilon=0.005, tc=lp), grid).values
-        for channel, solver in (("s", solve_channel_s), ("p", solve_channel_p)):
-            analytic = solver(params, control, b0, params.length)
+        for channel in ("s", "p"):
+            analytic = solve_channel(params, control, b0, channel, params.length)
             numeric = integrate_channel_numeric(params, control, b0, channel, cell_steps)
             scale = _rel_scale(
                 analytic.primary, analytic.generated, numeric.primary, numeric.generated, b0
@@ -181,7 +181,7 @@ def beta_branch_error(trials: int, seed: int = SEED + 2) -> float:
         z = float(rng.uniform(0.1, 1.0))
         plus = _closed_form(p, c, b0, z, "s", +1.0)
         minus = _closed_form(p, c, b0, z, "s", -1.0)
-        lib = solve_channel_s(p, c, b0, z)
+        lib = solve_channel(p, c, b0, "s", z)
         scale = _rel_scale(plus[0], plus[1], np.asarray(b0))
         for a, b in zip(plus, minus):
             worst = max(worst, float(np.max(np.abs(a - b))) / scale)
@@ -202,8 +202,7 @@ def decoupled_limit_error(trials: int, seed: int = SEED + 3) -> float:
         p = _draw_params(rng)
         b0 = _draw_complex(rng)
         z = float(rng.uniform(0.0, 1.0))
-        s = solve_channel_s(p, 0.0, b0, z)
-        q = solve_channel_p(p, 0.0, b0, z)
+        s, q = (solve_channel(p, 0.0, b0, channel, z) for channel in ("s", "p"))
         ref_s = b0 * np.exp(-p.d * z / (4.0 * p.length * (p.gamma31 + 1j * p.delta)))
         ref_p = b0 * np.exp(-p.d * z / (4.0 * p.length * p.gamma21))
         scale = abs(b0)
@@ -231,9 +230,9 @@ def lossless_error(trials: int, seed: int = SEED + 4) -> float:
         c = _draw_control(rng, 1.0, 6.0)
         b0 = _draw_complex(rng)
         power_in = abs(b0) ** 2
-        for solver in (solve_channel_s, solve_channel_p):
+        for channel in ("s", "p"):
             for z in zs:
-                state = solver(p, c, b0, float(z))
+                state = solve_channel(p, c, b0, channel, float(z))
                 power = float(np.abs(state.primary) ** 2 + np.abs(state.generated) ** 2)
                 worst = max(worst, abs(power - power_in) / power_in)
     return worst
@@ -250,10 +249,10 @@ def probe_linearity_error(trials: int, seed: int = SEED + 5) -> float:
         b1 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         b2 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         alpha = _draw_complex(rng)
-        for solver in (solve_channel_s, solve_channel_p):
-            combined = solver(p, c, alpha * b1 + b2, p.length)
-            s1 = solver(p, c, b1, p.length)
-            s2 = solver(p, c, b2, p.length)
+        for channel in ("s", "p"):
+            combined = solve_channel(p, c, alpha * b1 + b2, channel, p.length)
+            s1 = solve_channel(p, c, b1, channel, p.length)
+            s2 = solve_channel(p, c, b2, channel, p.length)
             for mixed, one, two in (
                 (combined.primary, s1.primary, s2.primary),
                 (combined.generated, s1.generated, s2.generated),

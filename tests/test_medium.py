@@ -143,6 +143,9 @@ def test_evolve_step_guard():
         evolve_coherences(p, 1.0, 0.0, 0.0, CoherencePair(0.0, 0.0), 1.0, dt=-0.01)
     with pytest.raises(StepSizeError):
         evolve_coherences(p, 1.0, 0.0, 0.0, CoherencePair(0.0, 0.0), -1.0, dt=0.01)
+    for t_end in (float("nan"), float("inf")):
+        with pytest.raises(StepSizeError, match="finite"):
+            evolve_coherences(p, 1.0, 0.0, 0.0, CoherencePair(0.0, 0.0), t_end, dt=0.01)
 
 
 def test_evolve_zero_time_returns_initial():

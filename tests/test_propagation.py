@@ -24,8 +24,7 @@ from vortex_twm.propagation import (
     integrate_channel_numeric,
     output_fields,
     output_rings,
-    solve_channel_p,
-    solve_channel_s,
+    solve_channel,
 )
 from vortex_twm.runner import analyse, compute_fields
 
@@ -34,17 +33,24 @@ CANON = MediumParams(gamma31=1.0, gamma21=0.05, delta=0.0, d=100.0)
 
 
 def test_boundary_condition_at_zero_distance():
-    for solver in (solve_channel_s, solve_channel_p):
-        state = solver(CANON, 3.0 + 1.0j, 0.005, 0.0)
+    for channel in ("s", "p"):
+        state = solve_channel(CANON, 3.0 + 1.0j, 0.005, channel, 0.0)
         assert state.primary == pytest.approx(0.005, rel=1e-15)
         assert state.generated == 0.0
 
 
 def test_z_range_validated():
     with pytest.raises(InvalidConfigError):
-        solve_channel_s(CANON, 1.0, 0.005, -0.1)
+        solve_channel(CANON, 1.0, 0.005, "s", -0.1)
     with pytest.raises(InvalidConfigError):
-        solve_channel_p(CANON, 1.0, 0.005, 1.1)
+        solve_channel(CANON, 1.0, 0.005, "p", 1.1)
+
+
+def test_solver_and_oracle_reject_a_bad_channel_alike():
+    for solve in (lambda: solve_channel(CANON, 1.0, 0.005, "x", 0.5),
+                  lambda: integrate_channel_numeric(CANON, 1.0, 0.005, "x", 1000)):
+        with pytest.raises(InvalidConfigError, match=r"^channel must be 's' or 'p', got 'x'$"):
+            solve()
 
 
 def test_decoupled_exponentials():
@@ -53,8 +59,8 @@ def test_decoupled_exponentials():
     p = MediumParams(1.0, 0.8, 0.5, 30.0)
     s0 = 0.004 - 0.001j
     for z in (0.2, 0.7, 1.0):
-        s = solve_channel_s(p, 0.0, s0, z)
-        q = solve_channel_p(p, 0.0, s0, z)
+        s = solve_channel(p, 0.0, s0, "s", z)
+        q = solve_channel(p, 0.0, s0, "p", z)
         assert s.primary == pytest.approx(
             s0 * np.exp(-p.d * z / (4.0 * (p.gamma31 + 1j * p.delta))), rel=1e-10
         )
@@ -66,7 +72,7 @@ def test_decoupled_exponentials():
 def test_degenerate_medium_propagates():
     lossless = MediumParams(0.0, 0.0, 0.0, 10.0)
     with pytest.raises(DegenerateMediumError):
-        solve_channel_s(lossless, 0.0, 0.005, 1.0)
+        solve_channel(lossless, 0.0, 0.005, "s", 1.0)
 
 
 def test_numeric_oracle_validation():
@@ -86,7 +92,7 @@ def test_numeric_zero_control_keeps_generated_dark():
 def test_numeric_fourth_order_convergence():
     p = MediumParams(1.0, 0.3, 2.0, 20.0)
     c, b0 = 3.0 + 0.5j, 0.004
-    exact = solve_channel_s(p, c, b0, 1.0)
+    exact = solve_channel(p, c, b0, "s", 1.0)
 
     def err(steps):
         got = integrate_channel_numeric(p, c, b0, "s", steps)
@@ -96,12 +102,12 @@ def test_numeric_fourth_order_convergence():
     assert 10.0 < e1 / e2 < 22.0
 
 
-@pytest.mark.parametrize("channel,solver", [("s", solve_channel_s), ("p", solve_channel_p)])
-def test_analytic_matches_numeric_scalar(channel, solver):
+@pytest.mark.parametrize("channel", ["s", "p"])
+def test_analytic_matches_numeric_scalar(channel):
     p = MediumParams(1.0, 0.11, -4.0, 55.0)
     c = 2.5 * np.exp(0.4j)
     b0 = 0.005 * np.exp(-1.1j)
-    exact = solver(p, c, b0, 1.0)
+    exact = solve_channel(p, c, b0, channel, 1.0)
     num = integrate_channel_numeric(p, c, b0, channel, 4000)
     scale = max(abs(b0), abs(exact.primary), abs(exact.generated))
     assert abs(exact.primary - num.primary) / scale < 1e-9
@@ -161,14 +167,16 @@ def test_numeric_oracle_is_stepwise_rk4(channel, steps):
 def test_channel_oracle_catches_sign_flip(monkeypatch):
     # the automated form of the README mutation check: a flipped sign on the
     # generated s-channel field must drive the oracle suite far out of tolerance
-    original = verify.solve_channel_s
+    original = verify.solve_channel
 
-    def flipped(*args):
-        state = original(*args)
-        return ChannelState(primary=state.primary, generated=-state.generated, z=state.z)
+    def flipped(p, control, boundary, channel, z):
+        state = original(p, control, boundary, channel, z)
+        if channel != "s":
+            return state
+        return ChannelState(primary=state.primary, generated=-state.generated)
 
     assert verify.channel_oracle_error(64, 1000) <= 1e-7
-    monkeypatch.setattr(verify, "solve_channel_s", flipped)
+    monkeypatch.setattr(verify, "solve_channel", flipped)
     assert verify.channel_oracle_error(64, 1000) >= 1e-3
 
 
@@ -210,8 +218,8 @@ def test_oracle_equivalence_random_draws(gamma21, delta, amp, d):
     p = MediumParams(1.0, gamma21, delta, d)
     c = amp * np.exp(0.7j)
     b0 = 0.005
-    for channel, solver in (("s", solve_channel_s), ("p", solve_channel_p)):
-        exact = solver(p, c, b0, 1.0)
+    for channel in ("s", "p"):
+        exact = solve_channel(p, c, b0, channel, 1.0)
         num = integrate_channel_numeric(p, c, b0, channel, 2000)
         scale = max(abs(b0), abs(exact.primary), abs(exact.generated), 1e-300)
         assert abs(exact.primary - num.primary) / scale < 1e-7
@@ -222,9 +230,9 @@ def test_series_switch_continuity():
     # pixels near beta*x = 0 must join the direct quotient smoothly
     p = MediumParams(1.0, 1.0, 0.0, 1.0)  # gamma31 = gamma21 -> beta = |control|
     b0 = 1.0
-    tiny = solve_channel_s(p, 1e-6, b0, 1.0)     # series branch
-    small = solve_channel_s(p, 2e-3, b0, 1.0)    # direct branch
-    zero = solve_channel_s(p, 0.0, b0, 1.0)
+    tiny = solve_channel(p, 1e-6, b0, "s", 1.0)     # series branch
+    small = solve_channel(p, 2e-3, b0, "s", 1.0)    # direct branch
+    zero = solve_channel(p, 0.0, b0, "s", 1.0)
     assert abs(tiny.primary - zero.primary) < 1e-9
     assert abs(small.primary - zero.primary) < 1e-4
 
@@ -379,7 +387,7 @@ def test_on_axis_damping_monotone():
     for amp in (0.0, 0.3, 0.5, 0.9):
         mag_prev = np.inf
         for z in np.linspace(0.0, 1.0, 41):
-            s = solve_channel_s(CANON, amp, 0.005, float(z))
+            s = solve_channel(CANON, amp, 0.005, "s", float(z))
             mag = abs(s.primary)
             assert mag <= mag_prev * (1.0 + 1e-14)
             mag_prev = mag
@@ -391,7 +399,7 @@ def test_channel_power_decays_at_zero_detuning():
     for amp in (0.0, 1.0, 4.0):
         power_prev = np.inf
         for z in np.linspace(0.0, 1.0, 41):
-            s = solve_channel_s(CANON, amp, 0.005, float(z))
+            s = solve_channel(CANON, amp, 0.005, "s", float(z))
             power = abs(s.primary) ** 2 + abs(s.generated) ** 2
             assert power <= power_prev * (1.0 + 1e-14)
             power_prev = power

@@ -208,8 +208,10 @@ def test_metrics_csv_cells(tmp_path):
 
 
 def test_a_blank_cell_is_written_empty(tmp_path):
-    # a Blank keeps its reason in .why, and the file sees only ""
+    # a Blank keeps its reason in .why and prints it, and the file sees only ""
     blank = Blank(StructurelessProfileError("profile has no azimuthal structure"))
+    assert repr(blank) == "Blank(StructurelessProfileError('profile has no azimuthal structure'))"
+    assert blank == "" and str(blank) == "" and f"{blank}" == ""
     path = tmp_path / "metrics.csv"
     write_metrics_csv([{"k": blank, "v": 0.5}, {"k": "omega_d", "v": blank}], ("k", "v"), path)
     assert path.read_bytes() == b"k,v\n,0.5\nomega_d,\n"
