@@ -69,31 +69,10 @@ def _check_z(p: MediumParams, z: float) -> float:
 
 
 def _channel_factors(p: MediumParams, control, z: float):
-    """Shared factors cos(beta x)*damp and (sin(beta x)/beta)*damp.
+    """Shared factors cos(beta x)*damp and (sin(beta x)/beta)*damp, on every element of control.
 
     x = d z / (8 Y L), damp = exp(-x (i delta + gamma31 + gamma21)).  Both
-    factors depend on the control only through |control|, so an array
-    control is reduced to its distinct magnitudes, told apart by their bits
-    (NaN payloads too), the closed form (_closed_form_factors) runs once per
-    distinct value, and the factors are gathered back onto the pixels:
-    elementwise arithmetic, so every factor keeps its bits.  A scalar or 0-d
-    control takes the closed form directly, because numpy's scalar
-    arithmetic rounds differently from its array loops; so does a control
-    whose magnitudes are not float64 (integers, float32).
-    """
-    amp = np.abs(control)
-    if amp.ndim == 0 or amp.dtype != np.float64:
-        return _closed_form_factors(p, control, z)
-    bits, where = np.unique(amp.view(np.uint64), return_inverse=True)
-    cos_damp, sinc_damp = _closed_form_factors(p, bits.view(np.float64), z)
-    where = where.reshape(amp.shape)
-    return cos_damp[where], sinc_damp[where]
-
-
-def _closed_form_factors(p: MediumParams, control, z: float):
-    """The factors of _channel_factors, evaluated on every element of control.
-
-    Both factors are assembled from the two mode exponentials
+    factors are assembled from the two mode exponentials
     exp(+-i beta x - x Gamma), whose real exponents are non-positive for a
     passive medium; evaluating cos and damp separately instead would
     overflow (and cancel catastrophically) at large d with weak control.

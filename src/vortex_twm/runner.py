@@ -50,6 +50,9 @@ class Blank(str):
     def __repr__(self) -> str:
         return f"Blank({self.why!r})"
 
+    def __reduce__(self):  # str's own hands "" to __new__; copy and pickle pass the reason
+        return Blank, (self.why,)
+
 
 def compute_fields(cfg: RunConfig) -> dict[str, ComplexField]:
     """The six named output fields of cfg, painted on cfg.grid by propagation.output_fields."""

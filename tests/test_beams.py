@@ -19,14 +19,13 @@ from vortex_twm.errors import InvalidConfigError
 from vortex_twm.runner import compute_fields
 
 
-# test_make_grid_*: making a grid is building a GridSpec and reading its arrays
-def test_make_grid_small_axis():
+def test_grid_spec_small_axis():
     g = GridSpec(3, 1.0)
     assert np.array_equal(g.axis, [-1.0, 0.0, 1.0])
     assert g.axis[1] - g.axis[0] == 1.0
 
 
-def test_make_grid_default_production():
+def test_grid_spec_default_production():
     g = GridSpec(256, 3.0)
     assert g.n == 256
     assert g.axis[0] == -3.0 and g.axis[-1] == 3.0
@@ -172,7 +171,7 @@ def test_grid_polar_rasters_match_meshgrid(n, extent):
     assert g.theta.tobytes() == np.arctan2(y, x).tobytes()
 
 
-def test_make_grid_builds_only_its_two_rasters():
+def test_grid_spec_builds_only_its_two_rasters():
     n = 512
     g = GridSpec(n, 3.0)
     tracemalloc.start()

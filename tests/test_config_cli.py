@@ -1,9 +1,11 @@
 import argparse
+import copy
 import csv
 import dataclasses
 import json
 import math
 import os
+import pickle
 import pkgutil
 import re
 import tempfile
@@ -878,6 +880,32 @@ def test_a_dark_field_blanks_its_ring_with_a_zero_field_error():
     # an automatic ring: the blank ring is the radius and each metric read there
     for column in ("radius", "winding", "petal_count", "peak_angle"):
         assert row[column] is row["ring_radius"]
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [copy.copy, copy.deepcopy, lambda blank: pickle.loads(pickle.dumps(blank))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_blank_copies_and_pickles_with_its_reason(duplicate):
+    blank = Blank(ZeroFieldError("ring radius undefined for an all-zero field"))
+    twin = duplicate(blank)
+    assert isinstance(twin, Blank) and twin == ""
+    assert type(twin.why) is ZeroFieldError and twin.why.args == blank.why.args
+
+
+def test_an_analysis_deep_copies():
+    # every config has blanks: a generated field's peak angle
+    analysed = analyse(default_config())
+    twin = copy.deepcopy(analysed)
+    blanks = 0
+    for name, (row, _profile) in analysed.items():
+        assert twin[name][0] == row
+        for column, cell in row.items():
+            if isinstance(cell, Blank):
+                blanks += 1
+                assert type(twin[name][0][column].why) is type(cell.why)
+    assert blanks
 
 
 def test_an_unread_scan_hands_its_degenerate_medium_error_to_an_auto_ring():

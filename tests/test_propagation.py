@@ -308,6 +308,21 @@ def test_values_are_the_closed_form_on_the_grid(n):
             assert err <= 1e-12 * peak, (lc, lp, ls, name, err / peak)
 
 
+@pytest.mark.parametrize("case", ["transfer", "interference", "fig4"])
+def test_rings_at_the_distinct_radii_are_the_rings_at_every_pixel(case):
+    # output_fields reads each distinct radius once: gathering those reads onto
+    # the pixels gives the reads at every pixel's radius, bit for bit
+    cfg = _FIGURES["fig4"][0] if case == "fig4" else load_config(CONFIGS / f"{case}.json")
+    rings = output_rings(cfg.medium, cfg.control, cfg.probe_p, cfg.probe_s)
+    radii, where = np.unique(cfg.grid.r, return_inverse=True)
+    once, every = rings(radii), rings(cfg.grid.r)
+    where = where.reshape(cfg.grid.r.shape)
+    for name, parts in every.items():
+        assert sorted(once[name]) == sorted(parts)
+        for k, ring in parts.items():
+            assert once[name][k][where].tobytes() == ring.tobytes(), (name, k)
+
+
 def test_output_fields_composition_identities():
     g = GridSpec(48, 3.0)
     # (1, 1, 0): each probe's order differs from its partner's; (1, 0, 1): they coincide
@@ -461,7 +476,7 @@ def test_channel_factors_match_full_array_formula(p, z):
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
-# ------------------------------------------- factors per distinct |control|
+# ------------------------------------------ factors of preset and odd controls
 
 
 def _preset_controls():
@@ -496,26 +511,19 @@ def _nan(payload: int) -> float:
     return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0]
 
 
-def test_factors_of_non_finite_controls_match_full_array_formula(monkeypatch):
-    seen = []
-    real = propagation.beta_factor
-    monkeypatch.setattr(propagation, "beta_factor", lambda p, c: seen.append(c) or real(p, c))
+def test_factors_of_non_finite_controls_match_full_array_formula():
     amps = np.array([np.inf, -np.inf, _nan(1), _nan(2), 1.0, 0.0, _nan(1), -4.0, np.inf])
     with np.errstate(all="ignore"):
         for control in (amps, amps * 1j, amps.astype(complex).reshape(3, 3).T):
             _assert_factors_match_full_array(CANON, control)
-    # every distinct bit pattern of |control| is evaluated once: the two NaNs stay apart
-    distinct = [np.inf, _nan(1), _nan(2), 1.0, 0.0, 4.0]
-    assert sorted(v.tobytes() for v in seen[0]) == sorted(np.float64(a).tobytes() for a in distinct)
 
 
 def test_factors_of_integer_and_float32_controls_match_full_array_formula():
-    # magnitudes that are not float64 cannot be told apart by float64 bits
     for control in (np.array([0, 1, 4, -4, 1]), np.array([[0.5, 4.0], [0.5, 1.0]], np.float32)):
         _assert_factors_match_full_array(CANON, control)
 
 
-def test_fig4_control_is_evaluated_once_per_distinct_magnitude(monkeypatch):
+def test_fig4_control_is_evaluated_once_per_distinct_radius(monkeypatch):
     sizes = []
     real = propagation.beta_factor
     monkeypatch.setattr(propagation, "beta_factor", lambda p, c: sizes.append(np.size(c)) or real(p, c))
@@ -523,18 +531,6 @@ def test_fig4_control_is_evaluated_once_per_distinct_magnitude(monkeypatch):
     compute_fields(cfg)
     assert cfg.grid.n**2 == 66049
     assert sizes == [5939]  # the grid's distinct radii, not its 66049 pixels
-
-
-def test_channel_factors_hold_few_rasters():
-    n = 512
-    control = sample_lg(LGBeamSpec(4.0, 1), GridSpec(n, 3.0)).values
-    tracemalloc.start()
-    try:
-        propagation._channel_factors(CANON, control, CANON.length)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 16 * n * n  # two complex factor rasters and the magnitude classes
 
 
 @pytest.mark.parametrize("case", ["transfer", "fig4"])
